@@ -141,13 +141,8 @@ def stereotrust_predict(
             domain = dtree.discretize(log, feature, max_bins)
         except ConstantFeature:
             continue
-        counts: dict[int, list[int]] = {}
-        for t in log.entries:
-            bucket = domain.bucket_of(t.features[feature])
-            pair = counts.setdefault(bucket, [0, 0])
-            pair[0 if t.outcome is Outcome.SUCCESSFUL else 1] += 1
-        bucket = domain.bucket_of(float(target_features[feature]))
-        pair = counts.get(bucket)
+        counts = dtree.bucket_counts(log.entries, feature, domain)
+        pair = counts.get(domain.bucket_of(float(target_features[feature])))
         if pair is None:
             continue  # unpopulated group contributes nothing
         n_s, n_u = pair

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import engine, sim
 from .core import Transaction, read_log_csv
-from .errors import ConfigError, InsufficientKnowledge, LogFormatError, TrustlensError
+from .errors import ConfigError, InsufficientKnowledge, TrustlensError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -142,6 +142,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         request_fanout=args.fanout,
     )
     base.validate()
+    out_dir = Path(args.out).parent
+    if not out_dir.is_dir():
+        raise ConfigError(f"output directory {str(out_dir)!r} does not exist")
     rows = sim.sweep(base, thetas, pms, models=models, repeats=args.repeats)
     sim.write_results_csv(rows, args.out)
 
@@ -314,16 +317,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except LogFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except TrustlensError as exc:
+    except (TrustlensError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

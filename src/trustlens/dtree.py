@@ -20,24 +20,6 @@ DEFAULT_MAX_BINS = 4
 
 
 @dataclass(frozen=True)
-class DiscreteDomain:
-    """Explicit value set for a categorical feature."""
-
-    values: tuple
-
-    def __post_init__(self) -> None:
-        if not self.values:
-            raise ValueError("discrete domain must list at least one value")
-
-    def buckets(self) -> tuple:
-        return self.values
-
-    def bucket_of(self, x):
-        """The matching value, or None when the value was never seen."""
-        return x if x in self.values else None
-
-
-@dataclass(frozen=True)
 class IntervalDomain:
     """Contiguous intervals (-inf, t1], (t1, t2], ..., (tk, inf) over the reals."""
 
@@ -54,8 +36,7 @@ class IntervalDomain:
         return bisect_left(self.thresholds, x)
 
 
-Domain = Union[DiscreteDomain, IntervalDomain]
-FeatureDomains = Mapping[int, Domain]
+FeatureDomains = Mapping[int, IntervalDomain]
 
 
 @dataclass(frozen=True)
@@ -72,13 +53,7 @@ class InternalNode:
     reduction: float
     count: int
     majority: Outcome
-    branches: tuple[tuple[object, "TreeNode"], ...]
-
-    def child_for(self, key):
-        for branch_key, child in self.branches:
-            if branch_key == key:
-                return child
-        return None
+    branches: tuple[tuple[int, "TreeNode"], ...]
 
 
 TreeNode = Union[LeafNode, InternalNode]
@@ -87,7 +62,7 @@ TreeNode = Union[LeafNode, InternalNode]
 @dataclass(frozen=True)
 class DecisionTree:
     root: TreeNode
-    domains: dict[int, Domain]
+    domains: dict[int, IntervalDomain]
 
 
 @dataclass(frozen=True)
@@ -121,8 +96,19 @@ def entropy(counts: tuple[int, int]) -> float:
     return h
 
 
+def bucket_counts(
+    entries: Iterable[Transaction], feature: int, domain: IntervalDomain
+) -> dict[int, list[int]]:
+    """[successful, unsuccessful] counts per populated bucket of one feature."""
+    counts: dict[int, list[int]] = {}
+    for t in entries:
+        pair = counts.setdefault(domain.bucket_of(t.features[feature]), [0, 0])
+        pair[0 if t.outcome is Outcome.SUCCESSFUL else 1] += 1
+    return counts
+
+
 def information_gain(
-    log: TransactionLog | Sequence[Transaction], feature: int, domain: Domain
+    log: TransactionLog | Sequence[Transaction], feature: int, domain: IntervalDomain
 ) -> float:
     """Expected entropy reduction from splitting on one feature.
 
@@ -136,22 +122,12 @@ def information_gain(
     parent = entropy(parent_counts)
     total = len(entries)
 
-    bucket_counts: dict[object, list[int]] = {}
-    for t in entries:
-        key = domain.bucket_of(t.features[feature])
-        if key is None:
-            raise ValueError(
-                f"domain for feature {feature} does not cover value {t.features[feature]!r}"
-            )
-        counts = bucket_counts.setdefault(key, [0, 0])
-        counts[0 if t.outcome is Outcome.SUCCESSFUL else 1] += 1
-
+    counts = bucket_counts(entries, feature, domain)
     expected = 0.0
-    for key in domain.buckets():
-        counts = bucket_counts.get(key)
-        if counts:
-            n = counts[0] + counts[1]
-            expected += (n / total) * entropy((counts[0], counts[1]))
+    for key in domain.buckets():  # bucket order, not dict order: the float sum must not vary
+        if key in counts:
+            n_s, n_u = counts[key]
+            expected += ((n_s + n_u) / total) * entropy((n_s, n_u))
     return min(max(parent - expected, 0.0), parent)
 
 
@@ -277,7 +253,7 @@ def _grow(
 
     remaining = features - {best}
     domain = domains[best]
-    grouped: dict[object, list[Transaction]] = {key: [] for key in domain.buckets()}
+    grouped: dict[int, list[Transaction]] = {key: [] for key in domain.buckets()}
     for t in entries:
         grouped[domain.bucket_of(t.features[best])].append(t)
 
@@ -301,12 +277,7 @@ def _grow(
 def classify_dt(
     tree: DecisionTree, p: Sequence[float]
 ) -> tuple[Outcome, list[PathStep]]:
-    """Descend from the root by feature value, returning label and path.
-
-    A categorical value never seen in training follows the branch holding
-    the most training entries; a node with no populated branch at all falls
-    back to the subtree majority with that step's reduction forced to 0.
-    """
+    """Descend from the root by feature value, returning label and path."""
     point = tuple(p)
     if not all(math.isfinite(float(x)) for x in point):
         raise ValueError("candidate features must be finite")
@@ -317,26 +288,10 @@ def classify_dt(
             raise DimensionMismatch(
                 f"candidate has {len(point)} features, tree tests feature {node.feature}"
             )
-        key = tree.domains[node.feature].bucket_of(point[node.feature])
-        if key is not None:
-            child = node.child_for(key)
-        else:
-            child = _majority_child(node)
-            if child is None:
-                path.append(PathStep(node.feature, node.entropy, node.gain, 0.0))
-                return node.majority, path
         path.append(PathStep(node.feature, node.entropy, node.gain, node.reduction))
-        node = child
+        # branches are stored in bucket order, and intervals cover the reals
+        _, node = node.branches[tree.domains[node.feature].bucket_of(point[node.feature])]
     return node.label, path
-
-
-def _majority_child(node: InternalNode) -> TreeNode | None:
-    best = None
-    best_count = -1
-    for _, child in node.branches:
-        if child.count > best_count:
-            best, best_count = child, child.count
-    return best
 
 
 def confidence_dt(path: Sequence[PathStep]) -> float:

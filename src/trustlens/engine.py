@@ -15,7 +15,6 @@ from .errors import (
     DimensionMismatch,
     EmptyTupleSet,
     InsufficientKnowledge,
-    UndefinedConfidence,
 )
 
 DEFAULT_MIN_CLASS_COUNT = 3
@@ -114,11 +113,7 @@ def _lda_prediction(
     except DegenerateClasses:
         return Prediction(Outcome.UNSUCCESSFUL, 0.0, "LDA")
     dist_s, dist_u, label = lda.classify(model, features)
-    try:
-        confidence = lda.confidence_lda(dist_s, dist_u)
-    except UndefinedConfidence:
-        confidence = 0.0
-    return Prediction(label, confidence, "LDA")
+    return Prediction(label, lda.confidence_lda(dist_s, dist_u), "LDA")
 
 
 def _dt_prediction(sub_log: TransactionLog, features: Sequence[float]) -> Prediction:
@@ -134,7 +129,5 @@ def record_outcome(log: TransactionLog, completed: Transaction) -> TransactionLo
     Rejects pending outcomes, duplicate ids, and dimension mismatches;
     subsequent assessments see the new entry.
     """
-    if completed.outcome is None:
-        raise ValueError("cannot record a transaction with a pending outcome")
     log.append(completed)
     return log

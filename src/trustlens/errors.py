@@ -34,10 +34,6 @@ class DimensionMismatch(TrustlensError):
     """Feature vector length differs from the expected dimensionality."""
 
 
-class UndefinedConfidence(TrustlensError):
-    """Both distances are zero; confidence is undefined (callers map to 0)."""
-
-
 class InsufficientKnowledge(TrustlensError):
     """Not enough per-class history to train, and no usable overlay."""
 

@@ -15,13 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import Outcome, TransactionLog, partition
-from .errors import (
-    DegenerateClasses,
-    DimensionMismatch,
-    EmptyGroup,
-    InsufficientKnowledge,
-    UndefinedConfidence,
-)
+from .errors import DegenerateClasses, DimensionMismatch, EmptyGroup, InsufficientKnowledge
 
 # Condition-number gate above which the within-class scatter is ridged.
 ILL_CONDITIONED = 1e12
@@ -33,11 +27,10 @@ DEFAULT_MIN_CLASS_COUNT = 3
 
 @dataclass(frozen=True, eq=False)
 class ScatterSet:
-    """Within/between/mixture scatter matrices and the centroids behind them."""
+    """Within/between scatter matrices and the centroids behind them."""
 
     within: np.ndarray
     between: np.ndarray
-    mixture: np.ndarray
     centroid_successful: np.ndarray
     centroid_unsuccessful: np.ndarray
     centroid_global: np.ndarray
@@ -77,28 +70,13 @@ def _group_matrix(group: Iterable) -> np.ndarray:
     return m
 
 
-def centroids(group_s: Iterable, group_u: Iterable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-feature means of each group and the size-weighted global mean."""
-    ms = _group_matrix(group_s)
-    mu = _group_matrix(group_u)
-    if ms.shape[1] != mu.shape[1]:
-        raise DimensionMismatch(
-            f"groups disagree on dimensionality: {ms.shape[1]} vs {mu.shape[1]}"
-        )
-    c_s = ms.mean(axis=0)
-    c_u = mu.mean(axis=0)
-    n_s, n_u = ms.shape[0], mu.shape[0]
-    c = (n_s * c_s + n_u * c_u) / (n_s + n_u)
-    return c_s, c_u, c
-
-
 def scatter(group_s: Iterable, group_u: Iterable) -> ScatterSet:
-    """Within-, between-, and mixture-scatter matrices of the two groups.
+    """Within- and between-class scatter matrices of the two groups.
 
     Each group's internal scatter is its centered Gram matrix divided by the
     group size; the overall within-class scatter is their size-weighted mean.
     The between-class scatter is built from centroid offsets about the global
-    centroid, and mixture = within + between.
+    centroid. Their sum is the scatter of the pooled data.
     """
     ms = _group_matrix(group_s)
     mu = _group_matrix(group_u)
@@ -125,7 +103,6 @@ def scatter(group_s: Iterable, group_u: Iterable) -> ScatterSet:
     return ScatterSet(
         within=within,
         between=between,
-        mixture=within + between,
         centroid_successful=c_s,
         centroid_unsuccessful=c_u,
         centroid_global=c,
@@ -221,13 +198,13 @@ def confidence_lda(dist_s: float, dist_u: float) -> float:
     """Decisiveness of a distance pair: |ds - du| / (ds + du), in [0, 1].
 
     Equidistant points score 0 (coin flip); a point on either centroid
-    scores 1. Undefined when both distances vanish (point sits on both
-    centroids); callers map that to 0.
+    scores 1. A point on both projected centroids at once is equidistant
+    and scores 0 too.
     """
     if dist_s < 0.0 or dist_u < 0.0:
         raise ValueError("distances must be nonnegative")
     if dist_s == 0.0 and dist_u == 0.0:
-        raise UndefinedConfidence("point coincides with both projected centroids")
+        return 0.0
     return abs(dist_s - dist_u) / (dist_s + dist_u)
 
 

@@ -20,13 +20,7 @@ import numpy as np
 
 from . import lda
 from .core import Outcome, Prediction
-from .errors import (
-    CancelledDirection,
-    DegenerateModel,
-    DimensionMismatch,
-    EmptyTupleSet,
-    UndefinedConfidence,
-)
+from .errors import CancelledDirection, DegenerateModel, DimensionMismatch, EmptyTupleSet
 
 MIN_DIRECTION_NORM = 1e-9
 
@@ -153,11 +147,7 @@ def classify_with_combined(
     """
     direction, centroid_s, centroid_u = (np.asarray(x, dtype=float) for x in combined)
     dist_s, dist_u, label = lda.decide(direction, centroid_s, centroid_u, p)
-    try:
-        confidence = lda.confidence_lda(dist_s, dist_u)
-    except UndefinedConfidence:
-        confidence = 0.0
-    return Prediction(label, confidence, "Combined")
+    return Prediction(label, lda.confidence_lda(dist_s, dist_u), "Combined")
 
 
 def solo_prediction(knowledge: KnowledgeTuple, p: Sequence[float]) -> Outcome:

@@ -74,6 +74,8 @@ class SimConfig:
             raise ConfigError(f"warmup must be >= 0, got {self.warmup}")
         if self.provider_list_size < 0:
             raise ConfigError(f"provider_list_size must be >= 0, got {self.provider_list_size}")
+        if self.request_fanout is not None and self.request_fanout < 1:
+            raise ConfigError(f"request_fanout must be >= 1, got {self.request_fanout}")
         if self.min_class_count < 1:
             raise ConfigError(f"min_class_count must be >= 1, got {self.min_class_count}")
 
@@ -151,7 +153,30 @@ def generate_population(config: SimConfig, rng: np.random.Generator) -> Populati
 def sample_features(outcome: Outcome, config: SimConfig, rng: np.random.Generator) -> np.ndarray:
     """Independent per-feature draws; unsuccessful outcomes shift by theta."""
     shift = 0.0 if outcome is Outcome.SUCCESSFUL else config.theta
-    return config.mu + shift + config.sigma * rng.standard_normal(config.d)
+    return _features(config, shift, rng.standard_normal(config.d))
+
+
+def _features(config: SimConfig, shift: float | np.ndarray, noise: np.ndarray) -> np.ndarray:
+    return config.mu + shift + config.sigma * noise
+
+
+def _draw_transactions(
+    config: SimConfig, population: Population, trustors: np.ndarray, env: np.random.Generator
+) -> tuple[list[int], list[Outcome], np.ndarray, list[float]]:
+    """Provider, true outcome, features and lie draw of one transaction per trustor.
+
+    The draw order (providers, outcome uniforms, lie uniforms, noise) fixes
+    the environment stream; a bulk draw equals the same draws made one by one.
+    """
+    m = len(trustors)
+    providers = env.integers(0, config.n_agents - 1, size=m)
+    providers += providers >= trustors  # never the trustor itself
+    failed = env.random(m) < population.misbehave_prob[providers]
+    lie_u = env.random(m)
+    noise = env.standard_normal((m, config.d))
+    features = _features(config, np.where(failed, config.theta, 0.0)[:, None], noise)
+    actual = [Outcome.UNSUCCESSFUL if f else Outcome.SUCCESSFUL for f in failed]
+    return providers.tolist(), actual, features, lie_u.tolist()
 
 
 def _agent_name(index: int) -> str:
@@ -170,10 +195,6 @@ class _SimState:
             for i in range(config.n_agents)
         ]
         self.feedback = baselines.FeedbackStore()
-        # majority view per agent: counterparty -> [successes, failures]
-        self.partner_counts: list[dict[str, list[int]]] = [
-            {} for _ in range(config.n_agents)
-        ]
         self.overlay = lkson.OverlayGraph(
             supplier=self._supply_tuple, fanout=config.request_fanout
         )
@@ -214,8 +235,6 @@ class _SimState:
         provider_name = _agent_name(provider)
         entry = Transaction(tid, provider_name, SIM_CONTEXT, tuple(features), actual)
         self.logs[trustor].append(entry)
-        pair = self.partner_counts[trustor].setdefault(provider_name, [0, 0])
-        pair[0 if actual is Outcome.SUCCESSFUL else 1] += 1
         # the trustor shares a rating, inverted when it lies this time
         lies = lie_draw < self.population.misbehave_prob[trustor]
         rating = actual
@@ -232,13 +251,6 @@ class _SimState:
             )
         )
 
-    def majority_view(self, trustor: int) -> dict[str, Outcome]:
-        view = {}
-        for partner, (n_s, n_u) in self.partner_counts[trustor].items():
-            if n_s != n_u:
-                view[partner] = Outcome.SUCCESSFUL if n_s > n_u else Outcome.UNSUCCESSFUL
-        return view
-
 
 def _predict(
     state: _SimState, trustor: int, provider: int, features: np.ndarray, round_no: int
@@ -251,7 +263,7 @@ def _predict(
         prediction = baselines.aggregate_feedback(
             _agent_name(provider),
             state.feedback,
-            state.majority_view(trustor),
+            baselines.majority_outcomes(state.logs[trustor]),
             requester=_agent_name(trustor),
         )
         return prediction, engine.SOURCE_LOCAL, ()
@@ -283,31 +295,6 @@ def _predict(
     return assessment.chosen, assessment.knowledge_source, assessment.providers_used
 
 
-def _run_warmup(state: _SimState, env: np.random.Generator) -> None:
-    config = state.config
-    n, w, d = config.n_agents, config.warmup, config.d
-    if w == 0:
-        return
-    provider_raw = env.integers(0, n - 1, size=(n, w))
-    misbehave_u = env.random((n, w))
-    lie_u = env.random((n, w))
-    noise = env.standard_normal((n, w, d))
-    probs = state.population.misbehave_prob
-    for agent in range(n):
-        for j in range(w):
-            provider = int(provider_raw[agent, j])
-            if provider >= agent:
-                provider += 1
-            actual = (
-                Outcome.UNSUCCESSFUL
-                if misbehave_u[agent, j] < probs[provider]
-                else Outcome.SUCCESSFUL
-            )
-            shift = 0.0 if actual is Outcome.SUCCESSFUL else config.theta
-            features = config.mu + shift + config.sigma * noise[agent, j]
-            state.record(agent, provider, f"w{j}", features, actual, float(lie_u[agent, j]))
-
-
 def run_experiment(config: SimConfig, collect_trace: bool = True) -> ExperimentResult:
     """Run one seeded experiment and tally prediction errors.
 
@@ -324,32 +311,21 @@ def run_experiment(config: SimConfig, collect_trace: bool = True) -> ExperimentR
 
     population = generate_population(config, env)
     state = _SimState(config, population, policy)
-    _run_warmup(state, env)
+    if config.warmup:
+        trustors = np.repeat(np.arange(config.n_agents), config.warmup)
+        draws = _draw_transactions(config, population, trustors, env)
+        for k, (trustor, provider, actual, features, lie) in enumerate(zip(trustors.tolist(), *draws)):
+            state.record(trustor, provider, f"w{k % config.warmup}", features, actual, lie)
 
     rounds = config.n_transactions
     trustors = env.integers(0, config.n_agents, size=rounds)
-    provider_raw = env.integers(0, config.n_agents - 1, size=rounds)
-    misbehave_u = env.random(rounds)
-    lie_u = env.random(rounds)
-    noise = env.standard_normal((rounds, config.d))
+    draws = _draw_transactions(config, population, trustors, env)
 
     false_positives = false_negatives = 0
     trace: list[TrialRecord] = []
     conf_min, conf_max = 1.0, 0.0
 
-    for i in range(rounds):
-        trustor = int(trustors[i])
-        provider = int(provider_raw[i])
-        if provider >= trustor:
-            provider += 1
-        actual = (
-            Outcome.UNSUCCESSFUL
-            if misbehave_u[i] < population.misbehave_prob[provider]
-            else Outcome.SUCCESSFUL
-        )
-        shift = 0.0 if actual is Outcome.SUCCESSFUL else config.theta
-        features = config.mu + shift + config.sigma * noise[i]
-
+    for i, (trustor, provider, actual, features, lie) in enumerate(zip(trustors.tolist(), *draws)):
         prediction, source, providers_used = _predict(state, trustor, provider, features, i)
 
         if prediction.label is Outcome.SUCCESSFUL and actual is Outcome.UNSUCCESSFUL:
@@ -376,7 +352,7 @@ def run_experiment(config: SimConfig, collect_trace: bool = True) -> ExperimentR
             lkson.post_transaction_update(
                 state.overlay, _agent_name(trustor), providers_used, actual, features, policy
             )
-        state.record(trustor, provider, f"r{i}", features, actual, float(lie_u[i]))
+        state.record(trustor, provider, f"r{i}", features, actual, lie)
 
     metrics = Metrics(false_positives, false_negatives, rounds)
     return ExperimentResult(metrics, trace, conf_min, conf_max)

@@ -66,11 +66,14 @@ def test_criterion_02_scatter_identity():
         group_s = rng.normal(0.0, 1.0, size=(n_s, d))
         group_u = rng.normal(0.5, 1.5, size=(n_u, d))
         s = lda.scatter(group_s, group_u)
-        scale = max(1.0, float(np.abs(s.mixture).max()))
+        pooled = np.vstack([group_s, group_u])
+        centered = pooled - pooled.mean(axis=0)
+        mixture = centered.T @ centered / pooled.shape[0]  # brute-force pooled scatter
+        scale = max(1.0, float(np.abs(mixture).max()))
         worst_identity = max(
-            worst_identity, float(np.abs(s.mixture - (s.within + s.between)).max()) / scale
+            worst_identity, float(np.abs(mixture - (s.within + s.between)).max()) / scale
         )
-        for matrix in (s.within, s.between, s.mixture):
+        for matrix in (s.within, s.between, s.within + s.between):
             msc = max(1.0, float(np.abs(matrix).max()))
             assert np.abs(matrix - matrix.T).max() / msc <= 1e-9
             min_eig = min(min_eig, float(np.linalg.eigvalsh(matrix).min()) / msc)
@@ -190,7 +193,7 @@ def _random_discrete_log(rng: random.Random):
         features = tuple(float(rng.randint(0, 2)) for _ in range(d))
         outcome = S if rng.random() < 0.5 else U
         log.append(Transaction(f"t{i}", "p", "c", features, outcome))
-    return log, {f: dtree.DiscreteDomain((0.0, 1.0, 2.0)) for f in range(d)}
+    return log, {f: dtree.IntervalDomain((0.5, 1.5)) for f in range(d)}
 
 
 def _check_node_gains(node, entries, available, domains) -> float:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from trustlens import sim
 from trustlens.cli import main
 from trustlens.core import Outcome, Transaction, TransactionLog, read_log_csv, write_log_csv
 
@@ -55,6 +56,22 @@ def test_simulate_rejects_bad_theta(tmp_path, capsys):
     code = main(["simulate", "--theta", "1.5", "--pm", "0.5", "--out", str(out)])
     assert code == 2
     assert "theta out of [0,1]" in capsys.readouterr().err
+
+
+def test_simulate_rejects_nonpositive_fanout(tmp_path, capsys):
+    code = main(SMALL_SIM + ["--fanout", "-1", "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "request_fanout must be >= 1" in capsys.readouterr().err
+
+
+def test_simulate_missing_out_dir_fails_before_sweep(tmp_path, monkeypatch, capsys):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("sweep ran before the output path was checked")
+
+    monkeypatch.setattr(sim, "sweep", no_sweep)
+    code = main(SMALL_SIM + ["--out", str(tmp_path / "missing" / "x.csv")])
+    assert code == 2
+    assert "does not exist" in capsys.readouterr().err
 
 
 def test_simulate_rejects_unknown_flag(tmp_path):
@@ -110,6 +127,25 @@ def test_assess_malformed_csv_reports_position(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "row 2" in err and "outcome" in err
+
+
+def _assert_one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_assess_log_is_a_directory(tmp_path, capsys):
+    code = main(["assess", "--log", str(tmp_path), "--candidate", "1.0", "--context", "book"])
+    assert code == 2
+    _assert_one_line_error(capsys)
+
+
+def test_assess_log_not_utf8(tmp_path, capsys):
+    log_path = tmp_path / "log.csv"
+    log_path.write_bytes(b"id,counterparty,context,outcome,f1\nt1,p,b\xff\xfeok,1,1.0\n")
+    code = main(["assess", "--log", str(log_path), "--candidate", "1.0", "--context", "book"])
+    assert code == 2
+    _assert_one_line_error(capsys)
 
 
 def test_ingest_maps_and_reports(tmp_path, capsys):

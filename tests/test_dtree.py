@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from trustlens.core import Outcome, Transaction, TransactionLog
 from trustlens.dtree import (
-    DiscreteDomain,
     IntervalDomain,
     InternalNode,
     LeafNode,
@@ -57,19 +56,19 @@ def test_entropy_in_unit_interval(n_s, n_u):
 
 def test_gain_perfectly_separating_feature():
     log = entries_from([(0.0, S), (0.0, S), (1.0, U), (1.0, U)])
-    domain = DiscreteDomain((0.0, 1.0))
+    domain = IntervalDomain((0.5,))
     assert information_gain(log, 0, domain) == pytest.approx(entropy((2, 2)), abs=1e-12)
 
 
 def test_gain_constant_feature_is_zero():
     log = entries_from([(5.0, S), (5.0, U), (5.0, S)])
-    domain = DiscreteDomain((5.0,))
+    domain = IntervalDomain(())
     assert information_gain(log, 0, domain) == 0.0
 
 
 def test_gain_uninformative_split_is_zero():
     log = entries_from([(0.0, S), (0.0, U), (1.0, S), (1.0, U)])
-    domain = DiscreteDomain((0.0, 1.0))
+    domain = IntervalDomain((0.5,))
     # each child is 50/50, so expected child entropy equals the parent's
     assert information_gain(log, 0, domain) == pytest.approx(0.0, abs=1e-12)
 
@@ -124,7 +123,7 @@ def test_build_tree_majority_tie_breaks_unsuccessful():
 def test_xor_tree_classifies_all_training_points():
     data = [((0.0, 0.0), S), ((0.0, 1.0), U), ((1.0, 0.0), U), ((1.0, 1.0), S)]
     log = entries_from(data)
-    domains = {0: DiscreteDomain((0.0, 1.0)), 1: DiscreteDomain((0.0, 1.0))}
+    domains = {0: IntervalDomain((0.5,)), 1: IntervalDomain((0.5,))}
     tree = build_tree(log, features={0, 1}, domains=domains)
     assert isinstance(tree.root, InternalNode)
     assert tree.root.feature == 0  # both gains are 0 at the root, tie to lowest index
@@ -150,15 +149,6 @@ def test_classify_depth_one_tree():
     assert confidence_dt(path) == 1.0  # perfectly separating split
 
 
-def test_unseen_discrete_value_follows_majority_child():
-    data = [((0.0,), S), ((0.0,), S), ((0.0,), S), ((1.0,), U)]
-    log = entries_from(data)
-    tree = build_tree(log, features={0}, domains={0: DiscreteDomain((0.0, 1.0))})
-    label, path = classify_dt(tree, (7.0,))
-    assert label is S  # the 0.0 branch holds three of the four entries
-    assert len(path) == 1
-
-
 def test_confidence_path_product():
     path = [PathStep(0, 1.0, 0.5, 0.5), PathStep(1, 1.0, 0.8, 0.8)]
     assert confidence_dt(path) == pytest.approx(0.4, abs=1e-12)
@@ -170,7 +160,7 @@ def test_empty_log_raises():
     with pytest.raises(EmptySet):
         build_tree(TransactionLog("me", 1))
     with pytest.raises(EmptySet):
-        information_gain([], 0, DiscreteDomain((0.0,)))
+        information_gain([], 0, IntervalDomain(()))
 
 
 def _oracle_entropy(labels):
@@ -219,7 +209,7 @@ def test_random_trees_pick_maximal_gain_and_stay_consistent():
             features = tuple(float(rng.randint(0, 2)) for _ in range(d))
             rows.append((features, S if rng.random() < 0.5 else U))
         log = entries_from(rows, d=d)
-        domains = {f: DiscreteDomain((0.0, 1.0, 2.0)) for f in range(d)}
+        domains = {f: IntervalDomain((0.5, 1.5)) for f in range(d)}
         tree = build_tree(log, features=set(range(d)), domains=domains)
         _check_gain_maximality(tree.root, log.entries, frozenset(range(d)), domains)
         # depth never exceeds the feature count
@@ -256,7 +246,7 @@ def test_tree_determinism_under_entry_order():
         (tuple(float(rng.randint(0, 2)) for _ in range(3)), S if rng.random() < 0.5 else U)
         for _ in range(12)
     ]
-    domains = {f: DiscreteDomain((0.0, 1.0, 2.0)) for f in range(3)}
+    domains = {f: IntervalDomain((0.5, 1.5)) for f in range(3)}
     tree_a = build_tree(entries_from(rows, d=3), features={0, 1, 2}, domains=domains)
     tree_b = build_tree(entries_from(list(reversed(rows)), d=3), features={0, 1, 2}, domains=domains)
     assert _structure(tree_a.root) == _structure(tree_b.root)

@@ -9,15 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from trustlens.core import Outcome
-from trustlens.errors import (
-    DegenerateClasses,
-    DimensionMismatch,
-    EmptyGroup,
-    InsufficientKnowledge,
-    UndefinedConfidence,
-)
+from trustlens.errors import DegenerateClasses, DimensionMismatch, EmptyGroup, InsufficientKnowledge
 from trustlens.lda import (
-    centroids,
     classify,
     confidence_lda,
     projection_direction,
@@ -28,15 +21,20 @@ from trustlens.lda import (
 from conftest import make_log
 
 
+def _centroids(group_s, group_u):
+    s = scatter(group_s, group_u)
+    return s.centroid_successful, s.centroid_unsuccessful, s.centroid_global
+
+
 def test_centroids_simple_means():
-    c_s, c_u, c = centroids([[0.0, 0.0], [2.0, 2.0]], [[4.0, 4.0]])
+    c_s, c_u, c = _centroids([[0.0, 0.0], [2.0, 2.0]], [[4.0, 4.0]])
     assert np.array_equal(c_s, [1.0, 1.0])
     assert np.array_equal(c_u, [4.0, 4.0])
     assert np.array_equal(c, [2.0, 2.0])
 
 
 def test_centroids_single_entry_groups():
-    c_s, c_u, _ = centroids([[3.0, -1.0]], [[0.5, 0.5]])
+    c_s, c_u, _ = _centroids([[3.0, -1.0]], [[0.5, 0.5]])
     assert np.array_equal(c_s, [3.0, -1.0])
     assert np.array_equal(c_u, [0.5, 0.5])
 
@@ -45,7 +43,7 @@ def test_centroids_match_brute_force_column_means():
     rng = np.random.default_rng(3)
     group_s = rng.normal(size=(10, 3))
     group_u = rng.normal(size=(10, 3))
-    c_s, c_u, c = centroids(group_s, group_u)
+    c_s, c_u, c = _centroids(group_s, group_u)
     # independent summation oracle
     expect_s = [sum(group_s[i][j] for i in range(10)) / 10 for j in range(3)]
     expect_u = [sum(group_u[i][j] for i in range(10)) / 10 for j in range(3)]
@@ -58,7 +56,7 @@ def test_centroids_match_brute_force_column_means():
 
 def test_centroids_empty_group_raises():
     with pytest.raises(EmptyGroup):
-        centroids([], [[1.0]])
+        _centroids([], [[1.0]])
 
 
 def test_scatter_single_points_give_zero_within():
@@ -80,8 +78,7 @@ def test_scatter_mixture_equals_pooled_scatter():
     global_centroid = pooled.mean(axis=0)
     centered = pooled - global_centroid
     pooled_scatter = centered.T @ centered / pooled.shape[0]
-    assert np.allclose(s.mixture, pooled_scatter, rtol=1e-9)
-    assert np.allclose(s.mixture, s.within + s.between, rtol=1e-12)
+    assert np.allclose(s.within + s.between, pooled_scatter, rtol=1e-9)
 
 
 def test_projection_direction_one_dimension():
@@ -102,7 +99,6 @@ def test_projection_direction_identity_within():
     exact = ScatterSet(
         within=np.eye(2),
         between=s.between,
-        mixture=s.mixture,
         centroid_successful=np.array([3.0, 4.0]),
         centroid_unsuccessful=np.array([0.0, 0.0]),
         centroid_global=s.centroid_global,
@@ -153,8 +149,7 @@ def test_confidence_boundary_values():
     assert confidence_lda(1.0, 1.0) == 0.0
     assert confidence_lda(0.0, 2.0) == 1.0
     assert confidence_lda(1.0, 3.0) == 0.5
-    with pytest.raises(UndefinedConfidence):
-        confidence_lda(0.0, 0.0)
+    assert confidence_lda(0.0, 0.0) == 0.0  # on both projected centroids at once
 
 
 @given(
@@ -162,8 +157,6 @@ def test_confidence_boundary_values():
     st.floats(min_value=0.0, max_value=1e12),
 )
 def test_confidence_always_in_unit_interval(dist_s, dist_u):
-    if dist_s == 0.0 and dist_u == 0.0:
-        return
     sigma = confidence_lda(dist_s, dist_u)
     assert 0.0 <= sigma <= 1.0
 

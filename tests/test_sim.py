@@ -3,12 +3,15 @@ metric identities, determinism, and the sweep table."""
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from trustlens.core import Outcome
 from trustlens.errors import ConfigError
 from trustlens.sim import (
+    MODELS,
     Metrics,
     SimConfig,
     cell_seed,
@@ -46,6 +49,10 @@ def test_config_validation():
         SimConfig(n_agents=10, n_transactions=10, model="nope").validate()
     with pytest.raises(ConfigError):
         SimConfig(n_agents=10, n_transactions=10, sigma=0.0).validate()
+    for fanout in (0, -1):
+        with pytest.raises(ConfigError):
+            SimConfig(n_agents=10, n_transactions=10, request_fanout=fanout).validate()
+    SimConfig(n_agents=10, n_transactions=10, request_fanout=1).validate()
 
 
 def test_sample_features_distribution():
@@ -146,6 +153,42 @@ def test_environment_stream_is_model_independent():
         traces[model] = [(t.trustor, t.provider, t.actual) for t in result.trace]
     reference = traces["lda"]
     assert all(traces[m] == reference for m in traces)
+
+
+# (false positives, false negatives) and a sha256 over the per-round
+# (trustor, provider, actual, predicted, knowledge source) sequence, recorded
+# before the warmup and round loops were merged into one transaction draw.
+PINNED_TRACES = {
+    ("lda", 0): ((18, 48), "39b568559061092173e80686f285845a6a326655126a5d1a8602749f87192432"),
+    ("dt", 0): ((39, 75), "0041ccd1499cb3d0bae08bd568176b450039d960c54ebf8f62dd836f39b21e5a"),
+    ("combined", 0): ((34, 73), "c83a734262bc38f554efcdc68597e22ee5a7d2d0a8f1af1974256e960faa619d"),
+    ("random", 0): ((90, 115), "ce0be68e81a37c1675eb8e30dbee51bd84d748ca5709a9fbb0339d420c031dab"),
+    ("feedback", 0): ((42, 101), "2cfcd18b6f7d4495af0fab4751e9adefc6d973e1edb861006943b71e3cd10847"),
+    ("stereo", 0): ((31, 63), "9c0eb1253af1def42c3af49f0a34cba37b34bbf5c20523188b8ee55f4fbe1913"),
+    ("lda", 5): ((23, 31), "af537d0da6e2b3d4f160e01352c1c511ae26f188c031c386b8407b29a9ebedd0"),
+    ("dt", 5): ((46, 64), "be7a5fabb9e832b76f28952cfd9411453c55f6b159033b90f1581a59242cec23"),
+    ("combined", 5): ((42, 59), "f09146cbf5431623e0ee197a53ba5ab09e65631f776a639b19a5f8f77b538ad2"),
+    ("random", 5): ((101, 102), "3eac2e5fcac1f1d114eb7af56aa67cda6d874098db198f38525df45907e99b78"),
+    ("feedback", 5): ((42, 76), "be22fda901e2cd0cc181e0bd3a5db21adbf2040512622519cf94b895e6340bf4"),
+    ("stereo", 5): ((41, 46), "a1dbd0fec7d827a88951ac816aa2e1595d21a6df83c7295666af9b44910caf0d"),
+}
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("warmup", (0, 5))
+def test_trace_is_pinned(model, warmup):
+    config = SimConfig(
+        n_agents=16, n_transactions=400, model=model, theta=0.15, seed=11,
+        warmup=warmup, provider_list_size=10,
+    )
+    result = run_experiment(config)
+    digest = hashlib.sha256()
+    for t in result.trace:
+        digest.update(
+            f"{t.trustor},{t.provider},{t.actual.name},{t.predicted.name},{t.knowledge_source}\n".encode()
+        )
+    counts = (result.metrics.false_positives, result.metrics.false_negatives)
+    assert (counts, digest.hexdigest()) == PINNED_TRACES[(model, warmup)]
 
 
 def test_overlay_path_is_exercised_when_history_is_thin():
