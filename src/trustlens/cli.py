@@ -125,6 +125,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_output_path(path: str) -> None:
+    """Reject an output file that cannot be created, before any work is done."""
+    out = Path(path)
+    if out.is_dir():
+        raise ConfigError(f"output path {path!r} is a directory")
+    if not out.parent.is_dir():
+        raise ConfigError(f"output directory {str(out.parent)!r} does not exist")
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     thetas = _parse_values(args.theta, "theta")
     pms = _parse_values(args.pm, "pm")
@@ -142,9 +151,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         request_fanout=args.fanout,
     )
     base.validate()
-    out_dir = Path(args.out).parent
-    if not out_dir.is_dir():
-        raise ConfigError(f"output directory {str(out_dir)!r} does not exist")
+    _check_output_path(args.out)
     rows = sim.sweep(base, thetas, pms, models=models, repeats=args.repeats)
     sim.write_results_csv(rows, args.out)
 
@@ -226,6 +233,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     mapping = _parse_mapping(args.mapping)
     feature_columns: list[str] = mapping["features"]
     in_path = Path(args.input)
+    _check_output_path(args.out)
 
     with in_path.open(newline="") as fh:
         reader = csv.DictReader(fh)

@@ -9,7 +9,7 @@ along the path).
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -118,17 +118,26 @@ def information_gain(
     entries = _entries(log)
     if not entries:
         raise EmptySet("information gain of an empty transaction set is undefined")
-    parent_counts = _class_counts(entries)
-    parent = entropy(parent_counts)
-    total = len(entries)
-
     counts = bucket_counts(entries, feature, domain)
+    # bucket order, not dict order: the float sum must not vary
+    pairs = [counts[key] for key in domain.buckets() if key in counts]
+    return _split_gain(pairs, (sum(p[0] for p in pairs), sum(p[1] for p in pairs)))
+
+
+def _split_gain(pairs: Iterable[Sequence[int]], parent: tuple[int, int]) -> float:
+    """Gain of splitting a set with class counts ``parent`` into buckets.
+
+    ``pairs`` are the buckets' (successful, unsuccessful) counts in bucket
+    order; empty ones are skipped. Both gain computations go through here so
+    they agree to the last bit.
+    """
+    h = entropy(parent)
+    total = parent[0] + parent[1]
     expected = 0.0
-    for key in domain.buckets():  # bucket order, not dict order: the float sum must not vary
-        if key in counts:
-            n_s, n_u = counts[key]
+    for n_s, n_u in pairs:
+        if n_s or n_u:
             expected += ((n_s + n_u) / total) * entropy((n_s, n_u))
-    return min(max(parent - expected, 0.0), parent)
+    return min(max(h - expected, 0.0), h)
 
 
 def _class_counts(entries: Iterable[Transaction]) -> tuple[int, int]:
@@ -147,32 +156,62 @@ def discretize(
     """Supervised interval construction for a continuous feature.
 
     Candidate thresholds sit at midpoints between consecutive distinct values
-    where the class label changes; up to ``max_bins - 1`` of them are kept by
-    greedy gain maximization. The resulting intervals cover the real line.
+    where the class label changes (Fayyad & Irani, 1993); a midpoint that
+    rounds to the same float as the one before it is dropped. Up to
+    ``max_bins - 1`` candidates are kept by greedy gain maximization: each
+    round adds the candidate, in ascending order, whose trial threshold set
+    has the highest ``information_gain``, only if it beats the current gain
+    strictly. The resulting intervals cover the real line.
+
+    The log is sorted once and each trial set is scored from prefix class
+    counts: a threshold ``t`` cuts the sorted distinct values at
+    ``bisect_right(values, t)``, which is the ``IntervalDomain.bucket_of``
+    rule (values <= t fall left). The bucket counts, their order and the
+    float sum are those of ``information_gain``, so the domain is exactly the
+    one a rescan of the log per trial would choose.
     """
     entries = _entries(log)
-    by_value: dict[float, set[Outcome]] = {}
+    by_value: dict[float, list[int]] = {}
     for t in entries:
-        by_value.setdefault(t.features[feature], set()).add(t.outcome)
+        pair = by_value.setdefault(t.features[feature], [0, 0])
+        pair[0 if t.outcome is Outcome.SUCCESSFUL else 1] += 1
     if len(by_value) < 2:
         raise ConstantFeature(f"feature {feature} takes a single value")
 
     values = sorted(by_value)
-    candidates = []
-    for lo, hi in zip(values, values[1:]):
-        labels_lo, labels_hi = by_value[lo], by_value[hi]
-        if len(labels_lo) == 1 and labels_lo == labels_hi:
-            continue  # pure and identical on both sides: no boundary here
-        candidates.append((lo + hi) / 2.0)
+    prefix = [(0, 0)]  # prefix[i]: class counts of the i smallest distinct values
+    for v in values:
+        n_s, n_u = prefix[-1]
+        prefix.append((n_s + by_value[v][0], n_u + by_value[v][1]))
+    parent = prefix[-1]
 
-    chosen: list[float] = []
+    candidates: list[tuple[float, int]] = []  # (threshold, cut), ascending
+    for lo, hi in zip(values, values[1:]):
+        (s_lo, u_lo), (s_hi, u_hi) = by_value[lo], by_value[hi]
+        if (u_lo == u_hi == 0) or (s_lo == s_hi == 0):
+            continue  # pure and identical on both sides: no boundary here
+        midpoint = (lo + hi) / 2.0
+        if candidates and candidates[-1][0] == midpoint:
+            continue  # adjacent floats: the same threshold twice
+        candidates.append((midpoint, bisect_right(values, midpoint)))
+
+    def gain(thresholds: list[tuple[float, int]]) -> float:
+        cuts = [0] + [cut for _, cut in thresholds] + [len(values)]
+        return _split_gain(
+            (
+                (prefix[b][0] - prefix[a][0], prefix[b][1] - prefix[a][1])
+                for a, b in zip(cuts, cuts[1:])
+            ),
+            parent,
+        )
+
+    chosen: list[tuple[float, int]] = []
     current = 0.0  # gain of the single-interval split
     while len(chosen) < max_bins - 1 and candidates:
         best_candidate = None
         best_gain = current
         for c in candidates:
-            trial = IntervalDomain(tuple(sorted(chosen + [c])))
-            g = information_gain(entries, feature, trial)
+            g = gain(sorted(chosen + [c]))
             if g > best_gain:
                 best_candidate, best_gain = c, g
         if best_candidate is None:
@@ -180,7 +219,7 @@ def discretize(
         chosen.append(best_candidate)
         candidates.remove(best_candidate)
         current = best_gain
-    return IntervalDomain(tuple(sorted(chosen)))
+    return IntervalDomain(tuple(sorted(t for t, _ in chosen)))
 
 
 def build_domains(

@@ -15,9 +15,12 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from trustlens import dtree, engine, lda, lkson, sim
 from trustlens.core import Outcome, Transaction, TransactionLog
+from trustlens.errors import ConstantFeature
 
 from conftest import make_log
 
@@ -238,6 +241,98 @@ def test_criterion_04_entropy_gain_oracle():
         ok,
         f"worst deviation {worst:.2e} over 500 logs, {elapsed:.1f}s",
     )
+
+
+def _oracle_discretize(entries, feature, max_bins) -> dtree.IntervalDomain:
+    """The greedy discretizer by brute force: every trial threshold set is a
+    fresh IntervalDomain, scored by rescanning the log with information_gain."""
+    by_value: dict[float, set] = {}
+    for t in entries:
+        by_value.setdefault(t.features[feature], set()).add(t.outcome)
+    if len(by_value) < 2:
+        raise ConstantFeature(f"feature {feature} takes a single value")
+    values = sorted(by_value)
+    candidates = []
+    for lo, hi in zip(values, values[1:]):
+        labels_lo, labels_hi = by_value[lo], by_value[hi]
+        if len(labels_lo) == 1 and labels_lo == labels_hi:
+            continue
+        midpoint = (lo + hi) / 2.0
+        if midpoint not in candidates:
+            candidates.append(midpoint)
+    chosen: list[float] = []
+    current = 0.0
+    while len(chosen) < max_bins - 1 and candidates:
+        best_candidate, best_gain = None, current
+        for c in candidates:
+            trial = dtree.IntervalDomain(tuple(sorted(chosen + [c])))
+            g = dtree.information_gain(entries, feature, trial)
+            if g > best_gain:
+                best_candidate, best_gain = c, g
+        if best_candidate is None:
+            break
+        chosen.append(best_candidate)
+        candidates.remove(best_candidate)
+        current = best_gain
+    return dtree.IntervalDomain(tuple(sorted(chosen)))
+
+
+def _adjacent_floats(base: float, count: int) -> list[float]:
+    run = [base]
+    for _ in range(count - 1):
+        run.append(math.nextafter(run[-1], math.inf))
+    return run
+
+
+def _log_of(rows) -> TransactionLog:
+    log = TransactionLog("me", 1)
+    for i, (v, label) in enumerate(rows):
+        log.append(Transaction(f"t{i}", "p", "c", (v,), label))
+    return log
+
+
+@st.composite
+def _discretize_cases(draw):
+    kind = draw(st.sampled_from(["integers", "rounded", "adjacent", "wide", "constant"]))
+    if kind == "integers":  # few distinct values: equal-gain ties are common
+        value = st.integers(min_value=0, max_value=3).map(float)
+    elif kind == "rounded":
+        decimals = draw(st.integers(min_value=1, max_value=2))
+        value = st.floats(min_value=-2.0, max_value=2.0).map(lambda x: round(x, decimals))
+    elif kind == "adjacent":
+        run = _adjacent_floats(
+            draw(st.sampled_from([1.0, -0.5, 0.0, 1e6])), draw(st.integers(min_value=2, max_value=8))
+        )
+        value = st.sampled_from(run)
+    elif kind == "wide":
+        value = st.floats(min_value=-1e3, max_value=1e3)
+    else:
+        value = st.just(draw(st.floats(min_value=-2.0, max_value=2.0)))
+    label = draw(st.sampled_from([st.booleans(), st.just(True), st.just(False)]))  # or one class only
+    rows = draw(st.lists(st.tuples(value, label), min_size=1, max_size=200))
+    log = _log_of([(v, S if successful else U) for v, successful in rows])
+    return log, draw(st.integers(min_value=2, max_value=6))
+
+
+# S, U, S on three adjacent doubles: both boundary midpoints round to one float
+_REPEATED_MIDPOINT = _log_of(
+    [(v, label) for v, label in zip(_adjacent_floats(1.0000000000000002, 3), (S, U, S)) for _ in range(3)]
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_discretize_cases())
+@example((_REPEATED_MIDPOINT, 4))
+def test_discretize_matches_greedy_oracle(case):
+    log, max_bins = case
+    try:
+        expected = _oracle_discretize(log.entries, 0, max_bins)
+    except ConstantFeature:
+        with pytest.raises(ConstantFeature):
+            dtree.discretize(log, 0, max_bins)
+        return
+    got = dtree.discretize(log, 0, max_bins)
+    assert [t.hex() for t in got.thresholds] == [t.hex() for t in expected.thresholds]
 
 
 def _curve_mean(theta: float, seeds: int = 10) -> float:

@@ -74,6 +74,16 @@ def test_simulate_missing_out_dir_fails_before_sweep(tmp_path, monkeypatch, caps
     assert "does not exist" in capsys.readouterr().err
 
 
+def test_simulate_out_is_a_directory_fails_before_sweep(tmp_path, monkeypatch, capsys):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("sweep ran before the output path was checked")
+
+    monkeypatch.setattr(sim, "sweep", no_sweep)
+    code = main(SMALL_SIM + ["--out", str(tmp_path)])
+    assert code == 2
+    _assert_one_line_error(capsys)
+
+
 def test_simulate_rejects_unknown_flag(tmp_path):
     with pytest.raises(SystemExit) as exc_info:
         main(["simulate", "--nope", "1", "--out", str(tmp_path / "x.csv")])
@@ -148,6 +158,19 @@ def test_assess_log_not_utf8(tmp_path, capsys):
     _assert_one_line_error(capsys)
 
 
+def test_assess_adjacent_float_midpoints(tmp_path, capsys):
+    # S, U, S on three adjacent doubles: both class-boundary midpoints are one float
+    values = ["1.0000000000000002", "1.0000000000000004", "1.0000000000000007"]
+    rows = ["id,counterparty,context,outcome,f1"]
+    for i in range(9):
+        rows.append(f"t{i},p,c,{0 if i // 3 == 1 else 1},{values[i // 3]}")
+    log_path = tmp_path / "adj.csv"
+    log_path.write_text("\n".join(rows) + "\n")
+    code = main(["assess", "--log", str(log_path), "--candidate", "1.0", "--context", "c"])
+    assert code == 0
+    assert "chosen:" in capsys.readouterr().out
+
+
 def test_ingest_maps_and_reports(tmp_path, capsys):
     src = tmp_path / "auction.csv"
     rows = ["tid,seller,category,feedback,price,sold"]
@@ -199,3 +222,15 @@ def test_ingest_unmappable_schema(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "unmappable schema" in err and "category" in err
+
+
+def test_ingest_missing_out_dir_fails_before_reading_input(tmp_path, capsys):
+    code = main([
+        "ingest",
+        "--in", str(tmp_path / "absent.csv"),  # never opened: the --out check comes first
+        "--out", str(tmp_path / "missing" / "log.csv"),
+        "--map", "id=tid,counterparty=seller,context=category,outcome=feedback,features=price",
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "output directory" in err and err.count("\n") == 1

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from trustlens import dtree
 from trustlens.core import Outcome, Transaction, TransactionLog
 from trustlens.dtree import (
     IntervalDomain,
@@ -98,6 +99,40 @@ def test_discretize_respects_max_bins():
     log = entries_from([(0.0, S), (1.0, U), (2.0, S), (3.0, U)])
     domain = discretize(log, 0, max_bins=2)
     assert len(domain.thresholds) == 1
+
+
+def test_discretize_keeps_only_strict_gains():
+    # a zero-gain boundary is not kept
+    log = entries_from([(0.0, S), (0.0, U), (1.0, S), (1.0, U)])
+    assert discretize(log, 0).thresholds == ()
+    # 0.5 and 1.5 score the same gain; the lower candidate comes first and wins
+    log = entries_from([(0.0, S), (1.0, U), (2.0, S)])
+    assert discretize(log, 0, max_bins=2).thresholds == (0.5,)
+
+
+def test_discretize_drops_repeated_midpoint():
+    # three adjacent doubles labelled S, U, S: both midpoints round to the middle value
+    values = [1.0000000000000002, 1.0000000000000004, 1.0000000000000007]
+    log = entries_from([(v, label) for v, label in zip(values, (S, U, S)) for _ in range(3)])
+    domain = discretize(log, 0)
+    assert domain.thresholds == (1.0000000000000004,)
+    assert [domain.bucket_of(v) for v in values] == [0, 0, 1]
+
+
+def test_discretize_does_not_rescan_the_log(monkeypatch):
+    calls = []
+    real_gain = dtree.information_gain
+
+    def counting_gain(*args, **kwargs):
+        calls.append(args)
+        return real_gain(*args, **kwargs)
+
+    monkeypatch.setattr(dtree, "information_gain", counting_gain)
+    rng = random.Random(800)
+    log = entries_from([(rng.gauss(0.0, 1.0), S if rng.random() < 0.6 else U) for _ in range(800)])
+    domain = discretize(log, 0)
+    assert len(domain.thresholds) == 3  # every greedy round ran
+    assert calls == []
 
 
 def test_build_tree_pure_log_single_leaf():
