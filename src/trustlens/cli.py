@@ -167,17 +167,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_assess(args: argparse.Namespace) -> int:
-    log = read_log_csv(args.log)
     try:
         features = tuple(float(x) for x in args.candidate.split(","))
     except ValueError:
         raise ConfigError(f"candidate features must be numeric: {args.candidate!r}") from None
+    if not all(math.isfinite(x) for x in features):
+        raise ConfigError("candidate features must be finite")
+    if args.min_class < 1:
+        raise ConfigError("--min-class must be >= 1")
+    log = read_log_csv(args.log, context=args.context)
     if len(features) != log.dimensionality:
         raise ConfigError(
             f"candidate has {len(features)} features, log expects {log.dimensionality}"
         )
-    if not all(math.isfinite(x) for x in features):
-        raise ConfigError("candidate features must be finite")
 
     candidate = Transaction("candidate", args.counterparty, args.context, features, None)
     try:

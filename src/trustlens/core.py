@@ -138,8 +138,16 @@ def filter_by_context(log: TransactionLog, context: str) -> TransactionLog:
 _FIXED_COLUMNS = ("id", "counterparty", "context", "outcome")
 
 
-def read_log_csv(path: str | Path, owner: str = "local") -> TransactionLog:
-    """Load a transaction log from its CSV representation."""
+def read_log_csv(
+    path: str | Path, owner: str = "local", context: str | None = None
+) -> TransactionLog:
+    """Load a transaction log from its CSV representation.
+
+    Every row is checked (field count, outcome, finite features, ids unique
+    across the whole file), whatever its context. With ``context`` set, only
+    the rows in that context become entries, which equals
+    ``filter_by_context(read_log_csv(path, owner), context)``.
+    """
     path = Path(path)
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
@@ -157,7 +165,7 @@ def read_log_csv(path: str | Path, owner: str = "local") -> TransactionLog:
                 raise LogFormatError(
                     f"expected {4 + d} fields, found {len(row)}", row=row_no
                 )
-            tid, counterparty, context, outcome_text = row[:4]
+            tid, counterparty, row_context, outcome_text = row[:4]
             if outcome_text == "1":
                 outcome = Outcome.SUCCESSFUL
             elif outcome_text == "0":
@@ -186,7 +194,8 @@ def read_log_csv(path: str | Path, owner: str = "local") -> TransactionLog:
             if tid in ids:
                 raise LogFormatError(f"duplicate transaction id {tid!r}", row=row_no, column="id")
             ids.add(tid)
-            entries.append(Transaction(tid, counterparty, context, tuple(features), outcome))
+            if context is None or row_context == context:
+                entries.append(Transaction(tid, counterparty, row_context, tuple(features), outcome))
     return TransactionLog(owner=owner, dimensionality=d, entries=entries)
 
 

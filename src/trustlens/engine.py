@@ -66,6 +66,8 @@ def assess(
     unknown = [a for a in algorithms if a not in _ALGORITHMS]
     if unknown:
         raise ValueError(f"unknown algorithms {unknown}; choose from {_ALGORITHMS}")
+    if min_class_count < 1:
+        raise ValueError(f"min_class_count must be >= 1, got {min_class_count}")
 
     sub_log = filter_by_context(log, candidate.context)
     counts = sub_log.class_counts()

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from trustlens import sim
+from trustlens import cli, sim
 from trustlens.cli import main
 from trustlens.core import Outcome, Transaction, TransactionLog, read_log_csv, write_log_csv
 
@@ -156,6 +156,57 @@ def test_assess_log_not_utf8(tmp_path, capsys):
     code = main(["assess", "--log", str(log_path), "--candidate", "1.0", "--context", "book"])
     assert code == 2
     _assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--candidate", "1.0,abc"], "candidate features must be numeric: '1.0,abc'"),
+        (["--candidate", "1.0,inf"], "candidate features must be finite"),
+        (["--candidate", "1.0,2.0", "--min-class", "0"], "--min-class must be >= 1"),
+        (["--candidate", "1.0,2.0", "--min-class", "-2"], "--min-class must be >= 1"),
+    ],
+)
+def test_assess_checks_flags_before_reading_log(tmp_path, monkeypatch, capsys, flags, message):
+    def no_read(*args, **kwargs):
+        raise AssertionError("log was read before the flags were checked")
+
+    monkeypatch.setattr(cli, "read_log_csv", no_read)
+    code = main(["assess", "--log", str(tmp_path / "log.csv"), "--context", "book"] + flags)
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_assess_loads_only_the_candidate_context(tmp_path, monkeypatch, capsys):
+    log_path = tmp_path / "log.csv"
+    log_path.write_text(
+        "id,counterparty,context,outcome,f1\n"
+        + "".join(f"b{i},p,book,{i % 2},{i}.0\n" for i in range(6))
+        + "".join(f"c{i},p,camera,{i % 2},{i}.0\n" for i in range(6))
+    )
+    loaded = []
+
+    def recording_read(*args, **kwargs):
+        log = read_log_csv(*args, **kwargs)
+        loaded.append(log)
+        return log
+
+    monkeypatch.setattr(cli, "read_log_csv", recording_read)
+    code = main(["assess", "--log", str(log_path), "--candidate", "1.0", "--context", "camera"])
+    assert code == 0
+    assert [t.id for t in loaded[0].entries] == [f"c{i}" for i in range(6)]
+
+
+def test_assess_rejects_bad_row_in_other_context(tmp_path, capsys):
+    log_path = tmp_path / "log.csv"
+    write_separable_log(log_path)
+    with log_path.open("a") as fh:
+        fh.write("x1,p,camera,1,0.5,inf\n")
+    code = main(["assess", "--log", str(log_path), "--candidate", "0.0,0.0", "--context", "book"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: feature value 'inf' is not finite (row 8, column 'f2')\n"
+    )
 
 
 def test_assess_adjacent_float_midpoints(tmp_path, capsys):

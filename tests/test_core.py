@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trustlens.core import (
     Outcome,
@@ -163,3 +167,74 @@ def test_csv_rejects_bad_feature_and_header(tmp_path):
     with pytest.raises(LogFormatError) as exc_info:
         read_log_csv(path2)
     assert exc_info.value.row == 1
+
+
+def _fields(log):
+    return [(t.id, t.counterparty, t.context, t.features, t.outcome) for t in log.entries]
+
+
+_CONTEXTS = ["book", "cd, used", 'say "hi"', "camera"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=3).flatmap(
+        lambda d: st.lists(
+            st.tuples(
+                st.sampled_from(_CONTEXTS),
+                st.booleans(),
+                st.lists(
+                    st.floats(allow_nan=False, allow_infinity=False), min_size=d, max_size=d
+                ),
+            ),
+            max_size=30,
+        ).map(lambda rows: (d, rows))
+    ),
+    st.sampled_from(_CONTEXTS + ["absent"]),
+)
+def test_context_read_equals_filtered_full_read(log_spec, context):
+    d, rows = log_spec
+    log = TransactionLog("me", d)
+    for i, (ctx, ok, features) in enumerate(rows):
+        outcome = Outcome.SUCCESSFUL if ok else Outcome.UNSUCCESSFUL
+        log.append(Transaction(f"t{i}", f"p,{i}", ctx, tuple(features), outcome))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "log.csv"
+        write_log_csv(log, path)
+        restricted = read_log_csv(path, owner="me", context=context)
+        expected = filter_by_context(read_log_csv(path, owner="me"), context)
+    assert (restricted.owner, restricted.dimensionality) == ("me", d)
+    assert _fields(restricted) == _fields(expected)
+
+
+@pytest.mark.parametrize(
+    "bad_row, column",
+    [
+        ("t3,p,camera,2,1.0,2.0", "outcome"),
+        ("t3,p,camera,1,abc,2.0", "f1"),
+        ("t3,p,camera,1,1.0,inf", "f2"),
+        ("t3,p,camera,1,1.0", None),
+        ("t1,p,camera,1,1.0,2.0", "id"),  # first copy of t1 is in book
+        ("t2,p,camera,1,1.0,2.0", "id"),  # first copy of t2 is in camera
+        ("t2,p,book,1,1.0,2.0", "id"),  # kept row, first copy skipped
+    ],
+)
+def test_context_read_checks_rows_of_other_contexts(tmp_path, bad_row, column):
+    path = tmp_path / "log.csv"
+    path.write_text(
+        "id,counterparty,context,outcome,f1,f2\n"
+        "t1,p,book,1,0.5,0.5\n"
+        "t2,p,camera,0,0.5,0.5\n"
+        f"{bad_row}\n"
+        "t4,p,book,0,0.5,0.5\n"
+    )
+    with pytest.raises(LogFormatError) as full:
+        read_log_csv(path)
+    with pytest.raises(LogFormatError) as restricted:
+        read_log_csv(path, context="book")
+    assert (full.value.row, full.value.column) == (4, column)
+    assert (restricted.value.row, restricted.value.column, str(restricted.value)) == (
+        full.value.row,
+        full.value.column,
+        str(full.value),
+    )

@@ -116,6 +116,12 @@ def test_candidate_validation():
         assess(log, completed)
 
 
+@pytest.mark.parametrize("min_class_count", [0, -2])
+def test_min_class_count_below_one_is_rejected(min_class_count):
+    with pytest.raises(ValueError, match="min_class_count must be >= 1"):
+        assess(separable_log(), candidate([0.0, 0.0]), min_class_count=min_class_count)
+
+
 def test_assess_does_not_mutate_log():
     log = separable_log()
     before = [t.id for t in log.entries]
