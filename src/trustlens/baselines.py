@@ -17,16 +17,11 @@ MIN_OVERLAP_TO_JUDGE = 2
 
 @dataclass(frozen=True)
 class FeedbackRecord:
-    """One shared rating of a target agent.
-
-    ``genuine`` is simulator bookkeeping (whether the rater told the truth);
-    predictors never look at it.
-    """
+    """One shared rating of a target agent."""
 
     rater: str
     target: str
     rating: Outcome
-    genuine: bool = True
 
 
 class FeedbackStore:
@@ -45,9 +40,6 @@ class FeedbackStore:
 
     def by(self, rater: str) -> list[FeedbackRecord]:
         return self._by_rater.get(rater, [])
-
-    def __len__(self) -> int:
-        return sum(len(records) for records in self._by_target.values())
 
 
 def random_select(rng: np.random.Generator) -> Prediction:
@@ -121,11 +113,7 @@ def aggregate_feedback(
     return Prediction(label, abs(2.0 * mean - 1.0), "Baseline-Feedback")
 
 
-def stereotrust_predict(
-    log: TransactionLog,
-    target_features: Sequence[float],
-    max_bins: int = dtree.DEFAULT_MAX_BINS,
-) -> Prediction:
+def stereotrust_predict(log: TransactionLog, target_features: Sequence[float]) -> Prediction:
     """Group-trust prediction from discretized feature bins.
 
     Past transactions are bucketed per feature by supervised intervals; each
@@ -138,7 +126,7 @@ def stereotrust_predict(
     group_trusts: list[float] = []
     for feature in range(log.dimensionality):
         try:
-            domain = dtree.discretize(log, feature, max_bins)
+            domain = dtree.discretize(log, feature)
         except ConstantFeature:
             continue
         counts = dtree.bucket_counts(log.entries, feature, domain)

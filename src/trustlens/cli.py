@@ -237,7 +237,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     in_path = Path(args.input)
     _check_output_path(args.out)
 
-    with in_path.open(newline="") as fh:
+    with in_path.open(newline="", encoding="utf-8-sig") as fh:  # a leading BOM is dropped
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise ConfigError(f"{in_path} has no header row")

@@ -149,7 +149,7 @@ def read_log_csv(
     ``filter_by_context(read_log_csv(path, owner), context)``.
     """
     path = Path(path)
-    with path.open(newline="") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:  # a leading BOM is dropped
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -52,8 +52,7 @@ class InternalNode:
     gain: float
     reduction: float
     count: int
-    majority: Outcome
-    branches: tuple[tuple[int, "TreeNode"], ...]
+    branches: tuple["TreeNode", ...]  # one child per bucket, in bucket order
 
 
 TreeNode = Union[LeafNode, InternalNode]
@@ -222,20 +221,15 @@ def discretize(
     return IntervalDomain(tuple(sorted(t for t, _ in chosen)))
 
 
-def build_domains(
-    log: TransactionLog | Sequence[Transaction],
-    max_bins: int = DEFAULT_MAX_BINS,
-    dimensionality: int | None = None,
-) -> dict[int, IntervalDomain]:
+def build_domains(log: TransactionLog | Sequence[Transaction]) -> dict[int, IntervalDomain]:
     """Interval domains for every non-constant feature of a log."""
     entries = _entries(log)
     if not entries:
         raise EmptySet("cannot build domains from an empty log")
-    d = dimensionality if dimensionality is not None else len(entries[0].features)
     domains: dict[int, IntervalDomain] = {}
-    for feature in range(d):
+    for feature in range(len(entries[0].features)):
         try:
-            domains[feature] = discretize(entries, feature, max_bins)
+            domains[feature] = discretize(entries, feature)
         except ConstantFeature:
             continue  # gain would be 0; feature carries no signal
     return domains
@@ -245,7 +239,6 @@ def build_tree(
     log: TransactionLog | Sequence[Transaction],
     features: Iterable[int] | None = None,
     domains: FeatureDomains | None = None,
-    max_bins: int = DEFAULT_MAX_BINS,
 ) -> DecisionTree:
     """Greedy ID3 construction.
 
@@ -258,7 +251,7 @@ def build_tree(
     if not entries:
         raise EmptySet("cannot build a tree from an empty log")
     if domains is None:
-        domains = build_domains(entries, max_bins)
+        domains = build_domains(entries)
     if features is None:
         features = domains.keys()
     feature_set = frozenset(features)
@@ -296,11 +289,10 @@ def _grow(
     for t in entries:
         grouped[domain.bucket_of(t.features[best])].append(t)
 
-    branches = []
-    for key in domain.buckets():
-        subset = grouped[key]
-        child = LeafNode(majority, 0) if not subset else _grow(subset, remaining, domains)
-        branches.append((key, child))
+    branches = tuple(
+        _grow(grouped[key], remaining, domains) if grouped[key] else LeafNode(majority, 0)
+        for key in domain.buckets()
+    )
 
     return InternalNode(
         feature=best,
@@ -308,8 +300,7 @@ def _grow(
         gain=gains[best],
         reduction=reduction,
         count=len(entries),
-        majority=majority,
-        branches=tuple(branches),
+        branches=branches,
     )
 
 
@@ -328,8 +319,8 @@ def classify_dt(
                 f"candidate has {len(point)} features, tree tests feature {node.feature}"
             )
         path.append(PathStep(node.feature, node.entropy, node.gain, node.reduction))
-        # branches are stored in bucket order, and intervals cover the reals
-        _, node = node.branches[tree.domains[node.feature].bucket_of(point[node.feature])]
+        # intervals cover the reals, so every value has a branch
+        node = node.branches[tree.domains[node.feature].bucket_of(point[node.feature])]
     return node.label, path
 
 

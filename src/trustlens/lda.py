@@ -33,23 +33,19 @@ class ScatterSet:
     between: np.ndarray
     centroid_successful: np.ndarray
     centroid_unsuccessful: np.ndarray
-    centroid_global: np.ndarray
-    group_sizes: tuple[int, int]
 
 
 @dataclass(frozen=True, eq=False)
 class LdaModel:
     """Trained discriminant: unit projection direction plus group centroids.
 
-    ``criterion_value`` is the between/within variance ratio achieved by the
-    direction; ``regularization_used`` is the ridge actually added to the
-    within-class scatter (0 when it was well conditioned).
+    ``regularization_used`` is the ridge actually added to the within-class
+    scatter (0 when it was well conditioned).
     """
 
     direction: np.ndarray
     centroid_successful: np.ndarray
     centroid_unsuccessful: np.ndarray
-    criterion_value: float
     regularization_used: float
 
 
@@ -105,8 +101,6 @@ def scatter(group_s: Iterable, group_u: Iterable) -> ScatterSet:
         between=between,
         centroid_successful=c_s,
         centroid_unsuccessful=c_u,
-        centroid_global=c,
-        group_sizes=(n_s, n_u),
     )
 
 
@@ -142,9 +136,6 @@ def projection_direction(scatter_set: ScatterSet, regularization: float | None =
     raw = np.linalg.solve(solved, diff)
     direction = raw / np.linalg.norm(raw)
     direction = _canonical_sign(direction)
-    criterion = float(direction @ scatter_set.between @ direction) / float(
-        direction @ solved @ direction
-    )
 
     c_s, c_u = c_s.copy(), c_u.copy()
     for arr in (direction, c_s, c_u):
@@ -153,7 +144,6 @@ def projection_direction(scatter_set: ScatterSet, regularization: float | None =
         direction=direction,
         centroid_successful=c_s,
         centroid_unsuccessful=c_u,
-        criterion_value=criterion,
         regularization_used=eps,
     )
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
@@ -43,22 +44,6 @@ class KnowledgeTuple:
         d = len(self.direction)
         if len(self.centroid_successful) != d or len(self.centroid_unsuccessful) != d:
             raise DimensionMismatch("tuple fields disagree on dimensionality")
-
-
-@dataclass(frozen=True)
-class ProviderList:
-    """An agent's ordered list of (provider id, trust score) pairs."""
-
-    owner: str
-    entries: tuple[tuple[str, float], ...]
-
-    def __post_init__(self) -> None:
-        ids = [p for p, _ in self.entries]
-        if len(ids) != len(set(ids)):
-            raise ValueError("provider ids must be unique")
-
-    def provider_ids(self) -> tuple[str, ...]:
-        return tuple(p for p, _ in self.entries)
 
 
 @dataclass
@@ -181,7 +166,7 @@ class OverlayGraph:
         self.supplier = supplier
         self.fanout = fanout
         self._edges: dict[tuple[str, str], TrustEdge] = {}
-        self._provider_lists: dict[str, ProviderList] = {}
+        self._provider_lists: dict[str, tuple[str, ...]] = {}
 
     def edge(self, requester: str, provider: str) -> TrustEdge:
         if requester == provider:
@@ -198,12 +183,18 @@ class OverlayGraph:
     def record_result(self, requester: str, provider: str, correct: bool) -> float:
         return update_trust(self.edge(requester, provider), correct)
 
-    def register_providers(self, provider_list: ProviderList) -> None:
-        self._provider_lists[provider_list.owner] = provider_list
-        for provider, _ in provider_list.entries:
-            self.edge(provider_list.owner, provider)
+    def register_providers(self, owner: str, providers: Sequence[str]) -> None:
+        """Set an agent's provider ids, in the order requests walk them.
 
-    def provider_list(self, agent: str) -> ProviderList | None:
+        Edges are created on first use, each starting at trust 0.5.
+        """
+        if owner in providers:
+            raise ValueError("the overlay has no self-edges")
+        if len(set(providers)) != len(providers):
+            raise ValueError("provider ids must be unique")
+        self._provider_lists[owner] = tuple(providers)
+
+    def provider_list(self, agent: str) -> tuple[str, ...] | None:
         return self._provider_lists.get(agent)
 
     def combined_assessment(
@@ -216,10 +207,9 @@ class OverlayGraph:
         """
         if self.supplier is None:
             raise EmptyTupleSet("overlay has no tuple supplier configured")
-        provider_list = self._provider_lists.get(requester)
-        if provider_list is None or not provider_list.entries:
+        provider_ids = self._provider_lists.get(requester)
+        if not provider_ids:
             raise EmptyTupleSet(f"agent {requester!r} has no knowledge providers")
-        provider_ids = provider_list.provider_ids()
         if self.fanout is not None:
             provider_ids = provider_ids[: self.fanout]
 
@@ -270,17 +260,17 @@ def bootstrap_providers(
     k: int,
     rng: np.random.Generator,
     context: str | None = None,
-) -> ProviderList:
-    """Build an initial provider list, preferring context-familiar agents.
+) -> tuple[str, ...]:
+    """Draw an initial provider list, preferring context-familiar agents.
 
     ``population`` maps agent ids to the contexts they hold knowledge for.
     Familiar agents (sharing the requested context) are drawn first; the
-    remainder fills up uniformly at random. Everyone starts at trust 0.5.
+    remainder fills up uniformly at random. Returns the ids in draw order.
     """
     candidates = [a for a in population if a != agent]
     size = min(k, len(candidates))
     if size <= 0:
-        return ProviderList(owner=agent, entries=())
+        return ()
     if context is not None:
         familiar = [a for a in candidates if context in population[a]]
         unfamiliar = [a for a in candidates if context not in population[a]]
@@ -297,7 +287,7 @@ def bootstrap_providers(
         if fill and unfamiliar:
             idx = rng.choice(len(unfamiliar), size=fill, replace=False)
             chosen.extend(unfamiliar[i] for i in sorted(idx.tolist()))
-    return ProviderList(owner=agent, entries=tuple((a, 0.5) for a in chosen))
+    return tuple(chosen)
 
 
 # Wire codec: one self-describing CSV record per tuple,
@@ -324,9 +314,13 @@ def decode_tuple(line: str) -> KnowledgeTuple:
         raise ValueError("tuple record needs at least provider, context, d")
     provider, context, d_text = row[0], row[1], row[2]
     d = int(d_text)
+    if d < 1:
+        raise ValueError(f"tuple record dimensionality must be >= 1, found {d}")
     if len(row) != 3 + 3 * d:
         raise ValueError(f"tuple record for d={d} must have {3 + 3 * d} fields, found {len(row)}")
     values = [float(x) for x in row[3:]]
+    if not all(math.isfinite(x) for x in values):
+        raise ValueError("tuple record values must be finite")
     return KnowledgeTuple(
         provider=provider,
         context=context,

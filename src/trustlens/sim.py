@@ -221,14 +221,14 @@ class _SimState:
     def ensure_providers(self, trustor: int) -> None:
         name = _agent_name(trustor)
         if self.overlay.provider_list(name) is None:
-            provider_list = lkson.bootstrap_providers(
+            providers = lkson.bootstrap_providers(
                 name,
                 self._population_contexts,
                 self.config.provider_list_size,
                 self.policy,
                 context=SIM_CONTEXT,
             )
-            self.overlay.register_providers(provider_list)
+            self.overlay.register_providers(name, providers)
 
     def record(self, trustor: int, provider: int, tid: str, features: np.ndarray,
                actual: Outcome, lie_draw: float) -> None:
@@ -236,19 +236,13 @@ class _SimState:
         entry = Transaction(tid, provider_name, SIM_CONTEXT, tuple(features), actual)
         self.logs[trustor].append(entry)
         # the trustor shares a rating, inverted when it lies this time
-        lies = lie_draw < self.population.misbehave_prob[trustor]
         rating = actual
-        if lies:
+        if lie_draw < self.population.misbehave_prob[trustor]:
             rating = (
                 Outcome.UNSUCCESSFUL if actual is Outcome.SUCCESSFUL else Outcome.SUCCESSFUL
             )
         self.feedback.add(
-            baselines.FeedbackRecord(
-                rater=_agent_name(trustor),
-                target=provider_name,
-                rating=rating,
-                genuine=not lies,
-            )
+            baselines.FeedbackRecord(rater=_agent_name(trustor), target=provider_name, rating=rating)
         )
 
 
@@ -400,6 +394,8 @@ def sweep(
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
     models = tuple(models) if models is not None else (base.model,)
+    if not models:
+        raise ConfigError("model list must be non-empty")
     for model in models:
         if model not in MODELS:
             raise ConfigError(f"unknown model {model!r}; choose from {MODELS}")

@@ -206,7 +206,7 @@ def _check_node_gains(node, entries, available, domains) -> float:
     gap = max(oracle.values()) - node.gain
     worst = max(gap, abs(node.gain - oracle[node.feature]))
     domain = domains[node.feature]
-    for key, child in node.branches:
+    for key, child in enumerate(node.branches):
         subset = [t for t in entries if domain.bucket_of(t.features[node.feature]) == key]
         if subset:
             worst = max(

@@ -98,7 +98,7 @@ def test_requesters_own_records_are_excluded():
     assert prediction.label is U  # only the other rater counts: mean 1/3
 
 
-def test_aggregate_matches_behavior_direction_on_large_genuine_sample():
+def test_aggregate_matches_behavior_direction_on_large_honest_sample():
     rng = np.random.default_rng(8)
     records = [
         FeedbackRecord(f"r{i}", "good", S if rng.random() < 0.85 else U) for i in range(300)

@@ -84,6 +84,18 @@ def test_simulate_out_is_a_directory_fails_before_sweep(tmp_path, monkeypatch, c
     _assert_one_line_error(capsys)
 
 
+def test_simulate_rejects_empty_model_list(tmp_path, monkeypatch, capsys):
+    def no_run(*args, **kwargs):
+        raise AssertionError("an experiment ran with no model selected")
+
+    monkeypatch.setattr(sim, "run_experiment", no_run)
+    out = tmp_path / "r.csv"
+    code = main(["simulate", "--models", ",", "--theta", "0.5", "--pm", "0.5", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: model list must be non-empty\n"
+    assert not out.exists()
+
+
 def test_simulate_rejects_unknown_flag(tmp_path):
     with pytest.raises(SystemExit) as exc_info:
         main(["simulate", "--nope", "1", "--out", str(tmp_path / "x.csv")])
@@ -156,6 +168,19 @@ def test_assess_log_not_utf8(tmp_path, capsys):
     code = main(["assess", "--log", str(log_path), "--candidate", "1.0", "--context", "book"])
     assert code == 2
     _assert_one_line_error(capsys)
+
+
+def test_assess_log_with_byte_order_mark(tmp_path, capsys):
+    plain = tmp_path / "log.csv"
+    write_separable_log(plain)
+    marked = tmp_path / "bom.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    outputs = []
+    for path in (plain, marked):
+        code = main(["assess", "--log", str(path), "--candidate", "0.02,0.01", "--context", "book"])
+        assert code == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[1] == outputs[0]
 
 
 @pytest.mark.parametrize(
@@ -285,3 +310,16 @@ def test_ingest_missing_out_dir_fails_before_reading_input(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "output directory" in err and err.count("\n") == 1
+
+
+def test_ingest_input_with_byte_order_mark(tmp_path, capsys):
+    rows = "tid,seller,category,feedback,price\nt1,s1,cameras,positive,10.5\nt2,s2,cameras,negative,3\n"
+    mapping = "id=tid,counterparty=seller,context=category,outcome=feedback,features=price"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_text(rows)
+    marked.write_bytes(b"\xef\xbb\xbf" + rows.encode())
+    for src in (plain, marked):
+        code = main(["ingest", "--in", str(src), "--out", str(tmp_path / f"{src.stem}.out"), "--map", mapping])
+        assert code == 0
+    assert capsys.readouterr().out.count("rows kept:    2") == 2
+    assert (tmp_path / "bom.out").read_bytes() == (tmp_path / "plain.out").read_bytes()

@@ -146,6 +146,21 @@ def test_csv_round_trip(tmp_path):
     ]
 
 
+def test_csv_read_accepts_byte_order_mark(tmp_path):
+    log = TransactionLog("me", 2)
+    log.append(Transaction("t1", "alice", "book", (1.25, -3.5), Outcome.SUCCESSFUL))
+    log.append(Transaction("t2", "bob", "cd, used", (0.1, 2.0), Outcome.UNSUCCESSFUL))
+    plain = tmp_path / "log.csv"
+    write_log_csv(log, plain)
+    marked = tmp_path / "bom.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    for context in (None, "book"):
+        expected = read_log_csv(plain, owner="me", context=context)
+        got = read_log_csv(marked, owner="me", context=context)
+        assert got.dimensionality == expected.dimensionality
+        assert got.entries == expected.entries
+
+
 def test_csv_rejects_bad_outcome(tmp_path):
     path = tmp_path / "log.csv"
     path.write_text("id,counterparty,context,outcome,f1\nt1,p,c,2,1.0\n")

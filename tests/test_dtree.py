@@ -228,7 +228,7 @@ def _check_gain_maximality(node, entries, available, domains):
     assert 0.0 <= node.gain <= node.entropy + 1e-12
     assert 0.0 <= node.reduction <= 1.0
     domain = domains[node.feature]
-    for key, child in node.branches:
+    for key, child in enumerate(node.branches):
         subset = [t for t in entries if domain.bucket_of(t.features[node.feature]) == key]
         if subset:
             _check_gain_maximality(child, subset, available - {node.feature}, domains)
@@ -258,7 +258,7 @@ def test_random_trees_pick_maximal_gain_and_stay_consistent():
 def _depth(node):
     if isinstance(node, LeafNode):
         return 0
-    return 1 + max(_depth(child) for _, child in node.branches)
+    return 1 + max(_depth(child) for child in node.branches)
 
 
 def _all_leaves_pure(root, entries, domains):
@@ -267,7 +267,7 @@ def _all_leaves_pure(root, entries, domains):
             return len({t.outcome for t in subset}) <= 1
         domain = domains[node.feature]
         ok = True
-        for key, child in node.branches:
+        for key, child in enumerate(node.branches):
             sub = [t for t in subset if domain.bucket_of(t.features[node.feature]) == key]
             ok = ok and walk(child, sub)
         return ok
@@ -294,7 +294,7 @@ def _structure(node):
         "node",
         node.feature,
         round(node.gain, 15),
-        tuple((key, _structure(child)) for key, child in node.branches),
+        tuple((key, _structure(child)) for key, child in enumerate(node.branches)),
     )
 
 

@@ -23,18 +23,20 @@ from conftest import make_log
 
 def _centroids(group_s, group_u):
     s = scatter(group_s, group_u)
-    return s.centroid_successful, s.centroid_unsuccessful, s.centroid_global
+    return s.centroid_successful, s.centroid_unsuccessful
 
 
 def test_centroids_simple_means():
-    c_s, c_u, c = _centroids([[0.0, 0.0], [2.0, 2.0]], [[4.0, 4.0]])
+    c_s, c_u = _centroids([[0.0, 0.0], [2.0, 2.0]], [[4.0, 4.0]])
     assert np.array_equal(c_s, [1.0, 1.0])
     assert np.array_equal(c_u, [4.0, 4.0])
-    assert np.array_equal(c, [2.0, 2.0])
+    # offsets about the global centroid [2, 2]: (2 * [1, 1] + 1 * [4, 4]) / 3 per row
+    between = scatter([[0.0, 0.0], [2.0, 2.0]], [[4.0, 4.0]]).between
+    assert np.allclose(between, [[2.0, 2.0], [2.0, 2.0]], rtol=1e-12)
 
 
 def test_centroids_single_entry_groups():
-    c_s, c_u, _ = _centroids([[3.0, -1.0]], [[0.5, 0.5]])
+    c_s, c_u = _centroids([[3.0, -1.0]], [[0.5, 0.5]])
     assert np.array_equal(c_s, [3.0, -1.0])
     assert np.array_equal(c_u, [0.5, 0.5])
 
@@ -43,15 +45,12 @@ def test_centroids_match_brute_force_column_means():
     rng = np.random.default_rng(3)
     group_s = rng.normal(size=(10, 3))
     group_u = rng.normal(size=(10, 3))
-    c_s, c_u, c = _centroids(group_s, group_u)
+    c_s, c_u = _centroids(group_s, group_u)
     # independent summation oracle
     expect_s = [sum(group_s[i][j] for i in range(10)) / 10 for j in range(3)]
     expect_u = [sum(group_u[i][j] for i in range(10)) / 10 for j in range(3)]
-    pooled = np.vstack([group_s, group_u])
-    expect_c = [sum(pooled[i][j] for i in range(20)) / 20 for j in range(3)]
     assert np.allclose(c_s, expect_s, rtol=1e-12, atol=1e-12)
     assert np.allclose(c_u, expect_u, rtol=1e-12, atol=1e-12)
-    assert np.allclose(c, expect_c, rtol=1e-12, atol=1e-12)
 
 
 def test_centroids_empty_group_raises():
@@ -101,8 +100,6 @@ def test_projection_direction_identity_within():
         between=s.between,
         centroid_successful=np.array([3.0, 4.0]),
         centroid_unsuccessful=np.array([0.0, 0.0]),
-        centroid_global=s.centroid_global,
-        group_sizes=s.group_sizes,
     )
     model = projection_direction(exact)
     assert np.allclose(model.direction, [0.6, 0.8], rtol=1e-12)
@@ -131,7 +128,6 @@ def test_classify_scalar_arithmetic():
         direction=np.array([1.0]),
         centroid_successful=np.array([2.0]),
         centroid_unsuccessful=np.array([0.0]),
-        criterion_value=1.0,
         regularization_used=0.0,
     )
     dist_s, dist_u, label = classify(model, [1.5])
@@ -214,11 +210,13 @@ def test_criterion_beats_random_directions():
     points_u = rng.normal(1.0, 1.0, size=(10, 3))
     s = scatter(points_s, points_u)
     model = projection_direction(s, regularization=0.0)
+    w = model.direction
+    criterion = (w @ s.between @ w) / (w @ s.within @ w)
     for _ in range(20):
         u = rng.normal(size=3)
         u /= np.linalg.norm(u)
         ratio = (u @ s.between @ u) / (u @ s.within @ u)
-        assert model.criterion_value + 1e-9 >= ratio
+        assert criterion + 1e-9 >= ratio
 
 
 def test_permutation_invariance_bit_identical():
@@ -233,7 +231,6 @@ def test_permutation_invariance_bit_identical():
     assert np.array_equal(model_a.direction, model_b.direction)
     assert np.array_equal(model_a.centroid_successful, model_b.centroid_successful)
     assert np.array_equal(model_a.centroid_unsuccessful, model_b.centroid_unsuccessful)
-    assert model_a.criterion_value == model_b.criterion_value
     assert model_a.regularization_used == model_b.regularization_used
 
 

@@ -65,7 +65,6 @@ def test_share_knowledge_rejects_degenerate_model():
         direction=np.array([1.0, 0.0]),
         centroid_successful=np.array([1.0, 1.0]),
         centroid_unsuccessful=np.array([1.0, 1.0]),
-        criterion_value=0.0,
         regularization_used=0.0,
     )
     with pytest.raises(DegenerateModel):
@@ -85,8 +84,16 @@ def test_codec_round_trip_bit_identical(tmp_path):
 
 
 def test_decode_rejects_malformed_records():
-    with pytest.raises(ValueError):
-        decode_tuple("p,c,2,1.0,0.0")  # wrong field count for d=2
+    for line in (
+        "p,c,2,1.0,0.0",  # wrong field count for d=2
+        "p,c,0",  # no dimensions
+        "p,c,-1",
+        "p,c,1,nan,0.0,1.0",
+        "p,c,1,1.0,inf,1.0",
+        "p,c,1,1.0,0.0,-inf",
+    ):
+        with pytest.raises(ValueError):
+            decode_tuple(line)
 
 
 def test_combine_single_tuple_is_identity():
@@ -239,28 +246,30 @@ def test_bootstrap_prefers_familiar_and_sizes():
     population = {f"a{i}": ("book",) for i in range(80)}
     population.update({f"b{i}": ("camera",) for i in range(40)})
     listing = bootstrap_providers("a0", population, 60, rng, context="book")
-    assert len(listing.entries) == 60
-    assert all(trust == 0.5 for _, trust in listing.entries)
+    assert len(listing) == 60
+    graph = OverlayGraph()
+    graph.register_providers("a0", listing)
+    assert graph.provider_list("a0") == listing
+    assert all(graph.trust("a0", p) == 0.5 for p in listing)
 
     # all candidates share the context: everyone drawn from the familiar pool
     small = {f"a{i}": ("book",) for i in range(10)}
     listing2 = bootstrap_providers("a0", small, 5, rng, context="book")
-    assert len(listing2.entries) == 5
-    assert all(p.startswith("a") for p, _ in listing2.entries)
+    assert len(listing2) == 5
+    assert all(p.startswith("a") for p in listing2)
 
     # fewer familiar agents than requested: the rest fills from the others
     mixed = {f"a{i}": ("book",) for i in range(3)}
     mixed.update({f"b{i}": ("camera",) for i in range(20)})
     listing3 = bootstrap_providers("a0", mixed, 10, rng, context="book")
-    chosen = [p for p, _ in listing3.entries]
-    assert set(p for p in chosen if p.startswith("a")) == {"a1", "a2"}
-    assert len(chosen) == 10
+    assert set(p for p in listing3 if p.startswith("a")) == {"a1", "a2"}
+    assert len(listing3) == 10
 
 
 def test_bootstrap_population_of_one():
     rng = np.random.default_rng(0)
     listing = bootstrap_providers("solo", {"solo": ("c",)}, 60, rng, context="c")
-    assert listing.entries == ()
+    assert listing == ()
 
 
 def test_overlay_graph_end_to_end():
@@ -274,7 +283,7 @@ def test_overlay_graph_end_to_end():
     graph = OverlayGraph(supplier=supplier)
     rng = np.random.default_rng(2)
     listing = bootstrap_providers("me", {p: ("c",) for p in list(providers) + ["me"]}, 4, rng, context="c")
-    graph.register_providers(listing)
+    graph.register_providers("me", listing)
 
     prediction, tuples_used = graph.combined_assessment("me", "c", [0.0, 0.0])
     assert prediction.label is S
@@ -289,3 +298,14 @@ def test_overlay_graph_rejects_self_edges():
     graph = OverlayGraph()
     with pytest.raises(ValueError):
         graph.edge("me", "me")
+
+
+def test_register_providers_rejects_self_listing_and_repeats():
+    graph = OverlayGraph()
+    with pytest.raises(ValueError, match="self-edges"):
+        graph.register_providers("me", ("p0", "me"))
+    with pytest.raises(ValueError, match="unique"):
+        graph.register_providers("me", ("p0", "p1", "p0"))
+    assert graph.provider_list("me") is None
+    graph.register_providers("me", ["p1", "p0"])
+    assert graph.provider_list("me") == ("p1", "p0")
