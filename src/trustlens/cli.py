@@ -22,6 +22,7 @@ EXIT_USAGE = 2
 EXIT_INSUFFICIENT = 3
 
 SEED_ENV_VAR = "TRUSTLENS_SEED"
+MAX_RANGE_STEPS = 10_000  # bound on (stop - start) / step of a range flag
 
 
 def _parse_values(text: str, name: str) -> list[float]:
@@ -35,9 +36,14 @@ def _parse_values(text: str, name: str) -> list[float]:
             start, stop, step = (float(p) for p in parts)
         except ValueError:
             raise ConfigError(f"{name} range has non-numeric parts: {text!r}") from None
+        if not all(math.isfinite(x) for x in (start, stop, step)):
+            raise ConfigError(f"{name} range start, stop and step must be finite, got {text!r}")
         if step <= 0:
             raise ConfigError(f"{name} range step must be positive, got {step}")
-        count = int(round((stop - start) / step))
+        steps = (stop - start) / step
+        if not steps < MAX_RANGE_STEPS:
+            raise ConfigError(f"{name} range spans {MAX_RANGE_STEPS} steps or more: {text!r}")
+        count = int(round(steps))
         values = [round(start + k * step, 9) for k in range(count + 1)]
         values = [v for v in values if v <= stop + 1e-9]
     else:

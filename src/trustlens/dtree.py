@@ -156,7 +156,8 @@ def discretize(
 
     Candidate thresholds sit at midpoints between consecutive distinct values
     where the class label changes (Fayyad & Irani, 1993); a midpoint that
-    rounds to the same float as the one before it is dropped. Up to
+    rounds to the same float as the one before it is dropped. Where
+    ``lo + hi`` overflows, the midpoint is ``lo / 2 + hi / 2``. Up to
     ``max_bins - 1`` candidates are kept by greedy gain maximization: each
     round adds the candidate, in ascending order, whose trial threshold set
     has the highest ``information_gain``, only if it beats the current gain
@@ -190,6 +191,8 @@ def discretize(
         if (u_lo == u_hi == 0) or (s_lo == s_hi == 0):
             continue  # pure and identical on both sides: no boundary here
         midpoint = (lo + hi) / 2.0
+        if math.isinf(midpoint):  # lo + hi overflowed; halve first
+            midpoint = lo / 2.0 + hi / 2.0
         if candidates and candidates[-1][0] == midpoint:
             continue  # adjacent floats: the same threshold twice
         candidates.append((midpoint, bisect_right(values, midpoint)))

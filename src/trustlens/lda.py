@@ -9,6 +9,7 @@ are well defined on either side of the centroids.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -122,6 +123,8 @@ def projection_direction(scatter_set: ScatterSet, regularization: float | None =
         raise DegenerateClasses("group centroids coincide; no direction separates them")
 
     within = scatter_set.within
+    if not np.isfinite(within).all():
+        raise DegenerateClasses("within-class scatter overflowed; no finite direction exists")
     d = within.shape[0]
     if regularization is None:
         cond = np.linalg.cond(within)
@@ -134,8 +137,11 @@ def projection_direction(scatter_set: ScatterSet, regularization: float | None =
 
     solved = within + eps * np.eye(d) if eps else within
     raw = np.linalg.solve(solved, diff)
-    direction = raw / np.linalg.norm(raw)
-    direction = _canonical_sign(direction)
+    norm = np.linalg.norm(raw)
+    # a finite positive norm also makes every component of the direction finite
+    if not 0.0 < norm < np.inf:
+        raise DegenerateClasses(f"projection direction has norm {norm}; it cannot be normalized")
+    direction = _canonical_sign(raw / norm)
 
     c_s, c_u = c_s.copy(), c_u.copy()
     for arr in (direction, c_s, c_u):
@@ -189,12 +195,15 @@ def confidence_lda(dist_s: float, dist_u: float) -> float:
 
     Equidistant points score 0 (coin flip); a point on either centroid
     scores 1. A point on both projected centroids at once is equidistant
-    and scores 0 too.
+    and scores 0 too. Distances that overflowed follow the same rule: one
+    infinite distance scores 1, two score 0.
     """
     if dist_s < 0.0 or dist_u < 0.0:
         raise ValueError("distances must be nonnegative")
-    if dist_s == 0.0 and dist_u == 0.0:
+    if dist_s == dist_u:
         return 0.0
+    if math.inf in (dist_s, dist_u):
+        return 1.0
     return abs(dist_s - dist_u) / (dist_s + dist_u)
 
 
@@ -214,4 +223,6 @@ def train(
             f"need >= {min_class_count} entries per class, have {n_s} successful / {n_u} unsuccessful"
         )
     group_s, group_u = partition(log)
-    return projection_direction(scatter(group_s, group_u), regularization=regularization)
+    # overflow in the scatter or the solve surfaces as DegenerateClasses
+    with np.errstate(all="ignore"):
+        return projection_direction(scatter(group_s, group_u), regularization=regularization)

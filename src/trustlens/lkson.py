@@ -152,15 +152,17 @@ EVALUATED_FRACTION_DENOM = 5  # evaluate 1/5 of providers after a success
 class OverlayGraph:
     """The overlay network: trust edges, provider lists, and tuple exchange.
 
-    ``supplier`` is the requester-side hook for fetching a provider's current
-    tuple: ``supplier(provider_id, context) -> KnowledgeTuple | None`` (None
-    when that provider cannot train a model right now). Edge mutation is
-    single-writer per requester; tuple requests are read-only.
+    ``supplier`` is the requester-side hook for fetching providers' current
+    tuples, called once per request:
+    ``supplier(provider_ids, context) -> Sequence[KnowledgeTuple]`` returns
+    the tuples of those providers that can answer, in the order given (a
+    provider that cannot train a model right now is left out). Edge mutation
+    is single-writer per requester; tuple requests are read-only.
     """
 
     def __init__(
         self,
-        supplier: Callable[[str, str], KnowledgeTuple | None] | None = None,
+        supplier: Callable[[Sequence[str], str], Sequence[KnowledgeTuple]] | None = None,
         fanout: int | None = None,
     ):
         self.supplier = supplier
@@ -213,18 +215,11 @@ class OverlayGraph:
         if self.fanout is not None:
             provider_ids = provider_ids[: self.fanout]
 
-        tuples: list[KnowledgeTuple] = []
-        scores: list[float] = []
-        for provider in provider_ids:
-            knowledge = self.supplier(provider, context)
-            if knowledge is None:
-                continue
-            tuples.append(knowledge)
-            scores.append(self.trust(requester, provider))
+        tuples = tuple(self.supplier(provider_ids, context))
         if not tuples:
             raise EmptyTupleSet(f"no provider of {requester!r} could answer in context {context!r}")
-        combined = combine(tuples, scores)
-        return classify_with_combined(combined, p), tuple(tuples)
+        combined = combine(tuples, [self.trust(requester, t.provider) for t in tuples])
+        return classify_with_combined(combined, p), tuples
 
 
 def post_transaction_update(

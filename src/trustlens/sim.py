@@ -196,27 +196,35 @@ class _SimState:
         ]
         self.feedback = baselines.FeedbackStore()
         self.overlay = lkson.OverlayGraph(
-            supplier=self._supply_tuple, fanout=config.request_fanout
+            supplier=self._supply_tuples, fanout=config.request_fanout
         )
         self._population_contexts = {
             _agent_name(i): (SIM_CONTEXT,) for i in range(config.n_agents)
         }
-        self._tuple_cache: dict[tuple[str, int], lkson.KnowledgeTuple | None] = {}
+        # each provider's tuple for its current log (None: it cannot train);
+        # record() drops an entry when that log grows. Every simulated
+        # transaction and request is in SIM_CONTEXT, so one entry per provider.
+        self._tuples: dict[str, lkson.KnowledgeTuple | None] = {}
 
-    def _supply_tuple(self, provider: str, context: str) -> lkson.KnowledgeTuple | None:
-        index = int(provider[1:])
-        log = self.logs[index]
-        key = (provider, len(log))
-        if key in self._tuple_cache:
-            return self._tuple_cache[key]
-        sub = filter_by_context(log, context)
+    def _supply_tuples(self, providers: Sequence[str], context: str) -> list[lkson.KnowledgeTuple]:
+        for provider in providers:
+            if provider not in self._tuples:
+                self._tuples[provider] = self._train_tuple(provider, context)
+        return [k for k in map(self._tuples.get, providers) if k is not None]
+
+    def _train_tuple(self, provider: str, context: str) -> lkson.KnowledgeTuple | None:
+        log = self.logs[int(provider[1:])]
+        # the whole log's class counts bound its in-context ones: below the
+        # threshold lda.train would only raise InsufficientKnowledge
+        if min(log.class_counts()) < self.config.min_class_count:
+            return None
         try:
-            model = lda.train(sub, min_class_count=self.config.min_class_count)
-            knowledge = lkson.share_knowledge(provider, model, context)
+            model = lda.train(
+                filter_by_context(log, context), min_class_count=self.config.min_class_count
+            )
+            return lkson.share_knowledge(provider, model, context)
         except (InsufficientKnowledge, DegenerateClasses):
-            knowledge = None
-        self._tuple_cache[key] = knowledge
-        return knowledge
+            return None
 
     def ensure_providers(self, trustor: int) -> None:
         name = _agent_name(trustor)
@@ -235,6 +243,7 @@ class _SimState:
         provider_name = _agent_name(provider)
         entry = Transaction(tid, provider_name, SIM_CONTEXT, tuple(features), actual)
         self.logs[trustor].append(entry)
+        self._tuples.pop(_agent_name(trustor), None)
         # the trustor shares a rating, inverted when it lies this time
         rating = actual
         if lie_draw < self.population.misbehave_prob[trustor]:

@@ -96,6 +96,24 @@ def test_simulate_rejects_empty_model_list(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "pm, message",
+    [
+        ("0:inf:0.1", "pm range start, stop and step must be finite, got '0:inf:0.1'"),
+        ("nan:1:0.1", "pm range start, stop and step must be finite, got 'nan:1:0.1'"),
+        ("0.1:0.9:1e-12", "pm range spans 10000 steps or more: '0.1:0.9:1e-12'"),
+    ],
+)
+def test_simulate_rejects_unusable_range_before_sweep(tmp_path, monkeypatch, capsys, pm, message):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("sweep ran before the range was checked")
+
+    monkeypatch.setattr(sim, "sweep", no_sweep)
+    code = main(["simulate", "--theta", "0.5", "--pm", pm, "--out", str(tmp_path / "r.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_simulate_rejects_unknown_flag(tmp_path):
     with pytest.raises(SystemExit) as exc_info:
         main(["simulate", "--nope", "1", "--out", str(tmp_path / "x.csv")])
@@ -245,6 +263,20 @@ def test_assess_adjacent_float_midpoints(tmp_path, capsys):
     code = main(["assess", "--log", str(log_path), "--candidate", "1.0", "--context", "c"])
     assert code == 0
     assert "chosen:" in capsys.readouterr().out
+
+
+def test_assess_log_near_float_max(tmp_path, capsys):
+    # the scatter overflows: LDA abstains with confidence 0 and the tree answers
+    rows = ["id,counterparty,context,outcome,f1,f2"]
+    for i in range(8):
+        rows.append(f"t{i},p,c,{i % 2},{1 + i % 2 + i / 100}e300,{2 + i % 2}e300")
+    log_path = tmp_path / "huge.csv"
+    log_path.write_text("\n".join(rows) + "\n")
+    code = main(["assess", "--log", str(log_path), "--candidate", "1e300,2e300", "--context", "c"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    assert "LDA: unsuccessful (confidence=0.0000)" in captured.out
 
 
 def test_ingest_maps_and_reports(tmp_path, capsys):

@@ -119,6 +119,15 @@ def test_discretize_drops_repeated_midpoint():
     assert [domain.bucket_of(v) for v in values] == [0, 0, 1]
 
 
+def test_discretize_midpoint_near_float_max():
+    # lo + hi overflows for every neighbouring pair; the threshold is lo / 2 + hi / 2
+    values = [1.5e308, 1.55e308, 1.6e308, 1.65e308, 1.7e308, 1.75e308]
+    log = entries_from([(v, S if v < 1.62e308 else U) for v in values])
+    domain = discretize(log, 0)
+    assert domain.thresholds == (1.6e308 / 2 + 1.65e308 / 2,)
+    assert [domain.bucket_of(v) for v in values] == [0, 0, 0, 1, 1, 1]
+
+
 def test_discretize_does_not_rescan_the_log(monkeypatch):
     calls = []
     real_gain = dtree.information_gain

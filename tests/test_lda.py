@@ -3,6 +3,8 @@ and confidence, each checked against brute-force oracles where derivable."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -111,6 +113,22 @@ def test_projection_direction_degenerate():
         projection_direction(s)
 
 
+def test_projection_direction_overflowing_scatter_is_degenerate():
+    # features near 1e300: the within-class scatter overflows to inf
+    log = make_log([[1.0e300, 2.0e300], [1.1e300, 2.0e300], [1.2e300, 2.1e300]],
+                   [[2.0e300, 3.0e300], [2.1e300, 3.1e300], [2.2e300, 3.0e300]])
+    with pytest.raises(DegenerateClasses):
+        train(log)
+
+
+def test_projection_direction_subnormal_difference_is_degenerate():
+    # the centroids differ by the smallest subnormal: the solved direction's
+    # norm underflows to 0, so it has no unit-length version
+    log = make_log([[1.0, 0.0]] * 3, [[1.0, 5e-324]] * 3)
+    with pytest.raises(DegenerateClasses):
+        train(log)
+
+
 def test_classify_on_centroid_and_midpoint():
     log = make_log([[2.0]] * 3, [[0.0]] * 3)
     model = train(log)
@@ -146,6 +164,12 @@ def test_confidence_boundary_values():
     assert confidence_lda(0.0, 2.0) == 1.0
     assert confidence_lda(1.0, 3.0) == 0.5
     assert confidence_lda(0.0, 0.0) == 0.0  # on both projected centroids at once
+
+
+def test_confidence_with_infinite_distances():
+    assert confidence_lda(math.inf, 2.0) == 1.0
+    assert confidence_lda(0.0, math.inf) == 1.0
+    assert confidence_lda(math.inf, math.inf) == 0.0
 
 
 @given(

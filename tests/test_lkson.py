@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from trustlens import lkson
 from trustlens.core import Outcome
 from trustlens.errors import (
     CancelledDirection,
@@ -275,10 +276,9 @@ def test_bootstrap_population_of_one():
 def test_overlay_graph_end_to_end():
     providers = {f"p{i}": trained_model(seed=i) for i in range(4)}
 
-    def supplier(provider, context):
-        if provider == "p3":
-            return None  # cannot train right now
-        return share_knowledge(provider, providers[provider], context)
+    def supplier(provider_ids, context):
+        # p3 cannot train right now, so it is left out
+        return [share_knowledge(p, providers[p], context) for p in provider_ids if p != "p3"]
 
     graph = OverlayGraph(supplier=supplier)
     rng = np.random.default_rng(2)
@@ -292,6 +292,56 @@ def test_overlay_graph_end_to_end():
     graph_no_supplier = OverlayGraph()
     with pytest.raises(EmptyTupleSet):
         graph_no_supplier.combined_assessment("me", "c", [0.0, 0.0])
+
+    nobody_answers = OverlayGraph(supplier=lambda provider_ids, context: [])
+    nobody_answers.register_providers("me", listing)
+    with pytest.raises(EmptyTupleSet):
+        nobody_answers.combined_assessment("me", "c", [0.0, 0.0])
+
+
+@pytest.mark.parametrize("fanout", (None, 1, 3, 10))
+def test_combined_assessment_calls_supplier_once_with_fanout_cut(fanout):
+    calls = []
+
+    def supplier(provider_ids, context):
+        calls.append((tuple(provider_ids), context))
+        return [simple_tuple(provider=p) for p in provider_ids]
+
+    graph = OverlayGraph(supplier=supplier, fanout=fanout)
+    listing = ("p4", "p0", "p3", "p1", "p2")
+    graph.register_providers("me", listing)
+    graph.combined_assessment("me", "c", [0.5, 0.0])
+    graph.combined_assessment("me", "c", [1.5, 0.0])
+    cut = listing if fanout is None else listing[:fanout]
+    assert calls == [(cut, "c"), (cut, "c")]
+
+
+def test_combined_assessment_keeps_supplier_order_and_weights_by_trust(monkeypatch):
+    answers = [
+        simple_tuple(provider="p2", direction=(1.0, 0.0)),
+        simple_tuple(provider="p0", direction=(0.6, 0.8)),
+        simple_tuple(provider="p3", direction=(0.0, 1.0)),
+    ]
+    graph = OverlayGraph(supplier=lambda provider_ids, context: list(answers))
+    graph.register_providers("me", ("p0", "p1", "p2", "p3"))
+    for provider, results in (("p0", (True, True)), ("p2", (False,)), ("p3", (True, False, False))):
+        for correct in results:
+            graph.record_result("me", provider, correct)
+
+    seen = []
+    real_combine = lkson.combine
+
+    def recording_combine(tuples, scores):
+        seen.append((tuple(tuples), list(scores)))
+        return real_combine(tuples, scores)
+
+    monkeypatch.setattr(lkson, "combine", recording_combine)
+    prediction, tuples_used = graph.combined_assessment("me", "c", [0.5, 0.0])
+    assert tuples_used == tuple(answers)
+    assert seen == [(tuple(answers), [graph.trust("me", t.provider) for t in answers])]
+    assert seen[0][1] == [1 / 3, 3 / 4, 2 / 5]
+    expected = classify_with_combined(combine(answers, seen[0][1]), [0.5, 0.0])
+    assert prediction == expected
 
 
 def test_overlay_graph_rejects_self_edges():

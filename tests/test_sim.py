@@ -8,8 +8,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from trustlens.core import Outcome
-from trustlens.errors import ConfigError
+from trustlens import lda, lkson, sim
+from trustlens.core import Outcome, filter_by_context
+from trustlens.errors import ConfigError, DegenerateClasses, InsufficientKnowledge
 from trustlens.sim import (
     MODELS,
     Metrics,
@@ -189,6 +190,57 @@ def test_trace_is_pinned(model, warmup):
         )
     counts = (result.metrics.false_positives, result.metrics.false_negatives)
     assert (counts, digest.hexdigest()) == PINNED_TRACES[(model, warmup)]
+
+
+def _retrained_tuple(log, context, min_class_count):
+    """A provider's tuple trained from scratch on its whole current log."""
+    try:
+        model = lda.train(filter_by_context(log, context), min_class_count=min_class_count)
+        return lkson.share_knowledge(log.owner, model, context)
+    except (InsufficientKnowledge, DegenerateClasses):
+        return None
+
+
+@pytest.mark.parametrize("min_class_count", (1, 3))
+@pytest.mark.parametrize("fanout", (None, 5))
+@pytest.mark.parametrize("warmup", (0, 2, 10))
+def test_supplier_cache_equals_retraining(monkeypatch, warmup, fanout, min_class_count):
+    real_supply, real_train = sim._SimState._supply_tuples, lda.train
+    requests, trained = [], []
+    in_supplier = []
+
+    def checked_supply(state, providers, context):
+        in_supplier.append(True)
+        try:
+            got = real_supply(state, providers, context)
+        finally:
+            in_supplier.pop()
+        logs = [state.logs[int(p[1:])] for p in providers]
+        expected = [
+            knowledge
+            for knowledge in (_retrained_tuple(log, context, min_class_count) for log in logs)
+            if knowledge is not None
+        ]
+        assert got == expected
+        requests.append(len(got))
+        return got
+
+    def counting_train(log, *args, **kwargs):
+        if in_supplier:
+            assert min(log.class_counts()) >= min_class_count
+            trained.append((log.owner, len(log)))
+        return real_train(log, *args, **kwargs)
+
+    monkeypatch.setattr(sim._SimState, "_supply_tuples", checked_supply)
+    monkeypatch.setattr(lda, "train", counting_train)
+    config = SimConfig(
+        n_agents=30, n_transactions=300, model="lda", theta=0.6, p_malicious=0.0, seed=17,
+        warmup=warmup, provider_list_size=12, request_fanout=fanout,
+        min_class_count=min_class_count,
+    )
+    run_experiment(config, collect_trace=False)
+    assert requests and any(requests)  # overlay requests ran and some were answered
+    assert trained and len(trained) == len(set(trained))  # one training per log state
 
 
 def test_overlay_path_is_exercised_when_history_is_thin():
