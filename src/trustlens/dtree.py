@@ -88,10 +88,12 @@ def entropy(counts: tuple[int, int]) -> float:
     if total == 0:
         raise EmptySet("entropy of an empty transaction set is undefined")
     h = 0.0
-    for k in (n_s, n_u):
-        if k:
-            p = k / total
-            h -= p * math.log2(p)
+    if n_s:
+        p = n_s / total
+        h -= p * math.log2(p)
+    if n_u:
+        p = n_u / total
+        h -= p * math.log2(p)
     return h
 
 
@@ -127,8 +129,11 @@ def _split_gain(pairs: Iterable[Sequence[int]], parent: tuple[int, int]) -> floa
     """Gain of splitting a set with class counts ``parent`` into buckets.
 
     ``pairs`` are the buckets' (successful, unsuccessful) counts in bucket
-    order; empty ones are skipped. Both gain computations go through here so
-    they agree to the last bit.
+    order; empty ones are skipped. The expected entropy is summed from 0.0
+    by adding each bucket's term ``((n_s + n_u) / total) * entropy((n_s,
+    n_u))`` in bucket order, and the gain is ``min(max(h - expected, 0.0),
+    h)``. ``information_gain`` and tree growth call this, and ``discretize``
+    adds its terms in the same order, so all three agree to the last bit.
     """
     h = entropy(parent)
     total = parent[0] + parent[1]
@@ -137,16 +142,6 @@ def _split_gain(pairs: Iterable[Sequence[int]], parent: tuple[int, int]) -> floa
         if n_s or n_u:
             expected += ((n_s + n_u) / total) * entropy((n_s, n_u))
     return min(max(h - expected, 0.0), h)
-
-
-def _class_counts(entries: Iterable[Transaction]) -> tuple[int, int]:
-    n_s = n_u = 0
-    for t in entries:
-        if t.outcome is Outcome.SUCCESSFUL:
-            n_s += 1
-        else:
-            n_u += 1
-    return n_s, n_u
 
 
 def discretize(
@@ -163,12 +158,18 @@ def discretize(
     has the highest ``information_gain``, only if it beats the current gain
     strictly. The resulting intervals cover the real line.
 
-    The log is sorted once and each trial set is scored from prefix class
-    counts: a threshold ``t`` cuts the sorted distinct values at
-    ``bisect_right(values, t)``, which is the ``IntervalDomain.bucket_of``
-    rule (values <= t fall left). The bucket counts, their order and the
-    float sum are those of ``information_gain``, so the domain is exactly the
-    one a rescan of the log per trial would choose.
+    The log is sorted once; a threshold ``t`` cuts the sorted distinct values
+    at ``bisect_right(values, t)``, which is the ``IntervalDomain.bucket_of``
+    rule (values <= t fall left). Each interval between chosen cuts keeps
+    its ``_split_gain`` term, built from prefix class counts, and each
+    remaining candidate keeps the two terms it would create inside its
+    interval; those are recomputed only when a chosen cut splits that
+    interval. A candidate in interval ``j`` is scored by adding, from 0.0,
+    the terms of intervals ``0..j-1``, its left term, its right term, then
+    the terms after ``j``: the additions ``_split_gain`` makes, in its
+    order, so the domain is exactly the one a rescan of the log per trial
+    would choose. A candidate whose cut leaves an interval empty scores
+    exactly the current gain, so it can never win and is dropped.
     """
     entries = _entries(log)
     by_value: dict[float, list[int]] = {}
@@ -184,6 +185,7 @@ def discretize(
         n_s, n_u = prefix[-1]
         prefix.append((n_s + by_value[v][0], n_u + by_value[v][1]))
     parent = prefix[-1]
+    n = len(values)
 
     candidates: list[tuple[float, int]] = []  # (threshold, cut), ascending
     for lo, hi in zip(values, values[1:]):
@@ -197,31 +199,45 @@ def discretize(
             continue  # adjacent floats: the same threshold twice
         candidates.append((midpoint, bisect_right(values, midpoint)))
 
-    def gain(thresholds: list[tuple[float, int]]) -> float:
-        cuts = [0] + [cut for _, cut in thresholds] + [len(values)]
-        return _split_gain(
-            (
-                (prefix[b][0] - prefix[a][0], prefix[b][1] - prefix[a][1])
-                for a, b in zip(cuts, cuts[1:])
-            ),
-            parent,
-        )
+    h = entropy(parent)
+    total = parent[0] + parent[1]
 
-    chosen: list[tuple[float, int]] = []
+    def term(a: int, b: int) -> float:  # the _split_gain term of values[a:b], a < b
+        n_s, n_u = prefix[b][0] - prefix[a][0], prefix[b][1] - prefix[a][1]
+        return ((n_s + n_u) / total) * entropy((n_s, n_u))
+
+    terms = [term(0, n)]  # one per interval between chosen cuts, ascending
+    # per interval, its candidates in ascending order: (threshold, cut, left term, right term)
+    pending = [[(t, cut, term(0, cut), term(cut, n)) for t, cut in candidates if 0 < cut < n]]
+    chosen: list[float] = []
     current = 0.0  # gain of the single-interval split
-    while len(chosen) < max_bins - 1 and candidates:
-        best_candidate = None
-        best_gain = current
-        for c in candidates:
-            g = gain(sorted(chosen + [c]))
-            if g > best_gain:
-                best_candidate, best_gain = c, g
-        if best_candidate is None:
+    for _ in range(max_bins - 1):
+        best, best_j, best_gain = None, 0, current
+        before = 0.0
+        for j, group in enumerate(pending):
+            later = terms[j + 1 :]
+            for candidate in group:
+                expected = before + candidate[2] + candidate[3]
+                for later_term in later:
+                    expected += later_term
+                # terms are >= 0, so g <= h; where g > best_gain >= 0 the
+                # _split_gain clamp min(max(g, 0.0), h) leaves g as it is
+                g = h - expected
+                if g > best_gain:
+                    best, best_j, best_gain = candidate, j, g
+            before += terms[j]
+        if best is None:
             break
-        chosen.append(best_candidate)
-        candidates.remove(best_candidate)
+        threshold, split, left, right = best
+        terms[best_j : best_j + 1] = [left, right]
+        group = pending[best_j]
+        pending[best_j : best_j + 1] = [
+            [(t, cut, lt, term(cut, split)) for t, cut, lt, _ in group if cut < split],
+            [(t, cut, term(split, cut), rt) for t, cut, _, rt in group if cut > split],
+        ]
+        chosen.append(threshold)
         current = best_gain
-    return IntervalDomain(tuple(sorted(t for t, _ in chosen)))
+    return IntervalDomain(tuple(sorted(chosen)))
 
 
 def build_domains(log: TransactionLog | Sequence[Transaction]) -> dict[int, IntervalDomain]:
@@ -249,6 +265,9 @@ def build_tree(
     majority label (ties go unsuccessful); otherwise split on the highest
     gain feature (ties to the lowest index) and recurse with it removed.
     Empty branches become majority-label leaves of the parent set.
+
+    Each entry is bucketed once per tree feature; a node scores each split
+    from those buckets through ``_split_gain``, as ``information_gain`` would.
     """
     entries = _entries(log)
     if not entries:
@@ -261,7 +280,17 @@ def build_tree(
     missing = [f for f in feature_set if f not in domains]
     if missing:
         raise ValueError(f"no domain supplied for features {sorted(missing)}")
-    root = _grow(list(entries), feature_set, domains)
+    order = sorted(feature_set)
+    # feature -> (column of its bucket in a row, bucket count)
+    columns = {f: (i, len(domains[f].buckets())) for i, f in enumerate(order)}
+    rows = [
+        (
+            tuple(domains[f].bucket_of(t.features[f]) for f in order),
+            0 if t.outcome is Outcome.SUCCESSFUL else 1,
+        )
+        for t in entries
+    ]
+    root = _grow(rows, feature_set, columns)
     return DecisionTree(root=root, domains=dict(domains))
 
 
@@ -269,32 +298,41 @@ def _majority(n_s: int, n_u: int) -> Outcome:
     return Outcome.SUCCESSFUL if n_s > n_u else Outcome.UNSUCCESSFUL
 
 
-def _grow(
-    entries: list[Transaction], features: frozenset[int], domains: FeatureDomains
-) -> TreeNode:
-    n_s, n_u = _class_counts(entries)
-    if n_u == 0:
-        return LeafNode(Outcome.SUCCESSFUL, len(entries))
-    if n_s == 0:
-        return LeafNode(Outcome.UNSUCCESSFUL, len(entries))
-    if not features:
-        return LeafNode(_majority(n_s, n_u), len(entries))
+_Row = tuple[tuple[int, ...], int]  # (bucket per tree feature, 0 successful / 1 unsuccessful)
 
-    gains = {f: information_gain(entries, f, domains[f]) for f in features}
+
+def _grow(
+    rows: list[_Row], features: frozenset[int], columns: Mapping[int, tuple[int, int]]
+) -> TreeNode:
+    n_u = sum(u for _, u in rows)
+    n_s = len(rows) - n_u
+    if n_u == 0:
+        return LeafNode(Outcome.SUCCESSFUL, len(rows))
+    if n_s == 0:
+        return LeafNode(Outcome.UNSUCCESSFUL, len(rows))
+    if not features:
+        return LeafNode(_majority(n_s, n_u), len(rows))
+
+    gains = {}
+    for f in features:
+        column, width = columns[f]
+        counts = [[0, 0] for _ in range(width)]
+        for buckets, u in rows:
+            counts[buckets[column]][u] += 1
+        gains[f] = _split_gain(counts, (n_s, n_u))
     best = min(features, key=lambda f: (-gains[f], f))
     parent_entropy = entropy((n_s, n_u))
     reduction = gains[best] / parent_entropy if parent_entropy > 0.0 else 1.0
     majority = _majority(n_s, n_u)
 
     remaining = features - {best}
-    domain = domains[best]
-    grouped: dict[int, list[Transaction]] = {key: [] for key in domain.buckets()}
-    for t in entries:
-        grouped[domain.bucket_of(t.features[best])].append(t)
+    column, width = columns[best]
+    grouped: list[list[_Row]] = [[] for _ in range(width)]
+    for row in rows:
+        grouped[row[0][column]].append(row)
 
     branches = tuple(
-        _grow(grouped[key], remaining, domains) if grouped[key] else LeafNode(majority, 0)
-        for key in domain.buckets()
+        _grow(group, remaining, columns) if group else LeafNode(majority, 0) for group in grouped
     )
 
     return InternalNode(
@@ -302,7 +340,7 @@ def _grow(
         entropy=parent_entropy,
         gain=gains[best],
         reduction=reduction,
-        count=len(entries),
+        count=len(rows),
         branches=branches,
     )
 

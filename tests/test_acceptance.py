@@ -291,9 +291,15 @@ def _log_of(rows) -> TransactionLog:
     return log
 
 
+# (a + b) / 2 rounds to b for these two adjacent doubles
+_UPPER_ROUNDING_PAIR = tuple(_adjacent_floats(math.nextafter(1.0, math.inf), 2))
+
+
 @st.composite
 def _discretize_cases(draw):
-    kind = draw(st.sampled_from(["integers", "rounded", "adjacent", "wide", "constant"]))
+    kind = draw(
+        st.sampled_from(["integers", "rounded", "adjacent", "upper-rounding", "wide", "constant"])
+    )
     if kind == "integers":  # few distinct values: equal-gain ties are common
         value = st.integers(min_value=0, max_value=3).map(float)
     elif kind == "rounded":
@@ -304,12 +310,23 @@ def _discretize_cases(draw):
             draw(st.sampled_from([1.0, -0.5, 0.0, 1e6])), draw(st.integers(min_value=2, max_value=8))
         )
         value = st.sampled_from(run)
+    elif kind == "upper-rounding":
+        # two adjacent doubles whose midpoint rounds up to the upper one, among
+        # ordinary values that all lie below them (the upper one is the largest
+        # value, so its cut is the end) or also above them (the midpoints on
+        # both sides of the upper one cut at the same place)
+        high = draw(st.sampled_from([1.0, 3.0]))
+        value = st.one_of(
+            st.sampled_from(_UPPER_ROUNDING_PAIR), st.floats(min_value=-2.0, max_value=high)
+        )
     elif kind == "wide":
         value = st.floats(min_value=-1e3, max_value=1e3)
     else:
         value = st.just(draw(st.floats(min_value=-2.0, max_value=2.0)))
     label = draw(st.sampled_from([st.booleans(), st.just(True), st.just(False)]))  # or one class only
     rows = draw(st.lists(st.tuples(value, label), min_size=1, max_size=200))
+    if kind == "upper-rounding":  # both doubles present, each in either class
+        rows += [(v, draw(st.booleans())) for v in _UPPER_ROUNDING_PAIR]
     log = _log_of([(v, S if successful else U) for v, successful in rows])
     return log, draw(st.integers(min_value=2, max_value=6))
 
@@ -333,6 +350,27 @@ def test_discretize_matches_greedy_oracle(case):
         return
     got = dtree.discretize(log, 0, max_bins)
     assert [t.hex() for t in got.thresholds] == [t.hex() for t in expected.thresholds]
+
+
+def _assert_discretize_matches_oracle(rows) -> None:
+    log = _log_of(rows)
+    for max_bins in (2, 3, 4):
+        expected = _oracle_discretize(log.entries, 0, max_bins)
+        got = dtree.discretize(log, 0, max_bins)
+        assert [t.hex() for t in got.thresholds] == [t.hex() for t in expected.thresholds]
+
+
+def test_discretize_candidate_cut_at_the_end():
+    # the only boundary's midpoint rounds to the largest value: its right interval is empty
+    a, b = _UPPER_ROUNDING_PAIR
+    assert (a + b) / 2 == b
+    _assert_discretize_matches_oracle([(0.5, S), (a, S), (b, U)])
+
+
+def test_discretize_two_candidates_share_one_cut():
+    # the midpoints on both sides of b both cut right after b
+    a, b = _UPPER_ROUNDING_PAIR
+    _assert_discretize_matches_oracle([(a, S), (b, U), (2.0, S)])
 
 
 def _curve_mean(theta: float, seeds: int = 10) -> float:

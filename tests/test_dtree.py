@@ -7,7 +7,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trustlens import dtree
@@ -142,6 +142,34 @@ def test_discretize_does_not_rescan_the_log(monkeypatch):
     domain = discretize(log, 0)
     assert len(domain.thresholds) == 3  # every greedy round ran
     assert calls == []
+
+
+def test_build_tree_buckets_each_entry_once_per_feature(monkeypatch):
+    calls = {"bucket_of": 0, "information_gain": 0}
+    real_bucket_of = IntervalDomain.bucket_of
+    real_gain = dtree.information_gain
+
+    def counting_bucket_of(self, x):
+        calls["bucket_of"] += 1
+        return real_bucket_of(self, x)
+
+    def counting_gain(*args, **kwargs):
+        calls["information_gain"] += 1
+        return real_gain(*args, **kwargs)
+
+    rng = random.Random(900)
+    rows = [
+        (tuple(rng.gauss(0.0, 1.0) for _ in range(3)), S if rng.random() < 0.5 else U)
+        for _ in range(300)
+    ]
+    log = entries_from(rows, d=3)
+    domains = build_domains(log)
+    assert len(domains) == 3
+    monkeypatch.setattr(IntervalDomain, "bucket_of", counting_bucket_of)
+    monkeypatch.setattr(dtree, "information_gain", counting_gain)
+    tree = build_tree(log, domains.keys(), domains)
+    assert _depth(tree.root) == 3  # growth went below the root
+    assert calls == {"bucket_of": len(log.entries) * len(domains), "information_gain": 0}
 
 
 def test_build_tree_pure_log_single_leaf():
@@ -311,3 +339,74 @@ def test_build_domains_skips_constant_features():
     log = entries_from([((1.0, 5.0), S), ((2.0, 5.0), U), ((3.0, 5.0), S)])
     domains = build_domains(log)
     assert 0 in domains and 1 not in domains
+
+
+def _reference_grow(entries, features, domains):
+    """ID3 growth without precomputed buckets: partition the entries at every
+    node and score each feature with information_gain."""
+    n_s = sum(1 for t in entries if t.outcome is S)
+    n_u = len(entries) - n_s
+    if n_u == 0:
+        return LeafNode(S, len(entries))
+    if n_s == 0:
+        return LeafNode(U, len(entries))
+    majority = S if n_s > n_u else U
+    if not features:
+        return LeafNode(majority, len(entries))
+    gains = {f: information_gain(entries, f, domains[f]) for f in features}
+    best = min(features, key=lambda f: (-gains[f], f))
+    parent_entropy = entropy((n_s, n_u))
+    reduction = gains[best] / parent_entropy if parent_entropy > 0.0 else 1.0
+    domain = domains[best]
+    grouped = {key: [] for key in domain.buckets()}
+    for t in entries:
+        grouped[domain.bucket_of(t.features[best])].append(t)
+    branches = tuple(
+        _reference_grow(grouped[key], features - {best}, domains) if grouped[key] else LeafNode(majority, 0)
+        for key in domain.buckets()
+    )
+    return InternalNode(best, parent_entropy, gains[best], reduction, len(entries), branches)
+
+
+def _fields(node):
+    if isinstance(node, LeafNode):
+        return ("leaf", node.label, node.count)
+    return (
+        "node",
+        node.feature,
+        node.entropy.hex(),
+        node.gain.hex(),
+        node.reduction.hex(),
+        node.count,
+        tuple(_fields(child) for child in node.branches),
+    )
+
+
+# (5.0,) leaves its upper bucket empty on values 0-2; () has one bucket and gain 0
+_TREE_THRESHOLDS = [(), (0.5,), (1.5,), (0.5, 1.5), (0.5, 1.5, 2.5), (5.0,)]
+
+
+@st.composite
+def _tree_cases(draw):
+    d = draw(st.integers(min_value=1, max_value=4))
+    value = st.integers(min_value=0, max_value=2).map(float)
+    rows = draw(
+        st.lists(st.tuples(st.tuples(*[value] * d), st.booleans()), min_size=1, max_size=40)
+    )
+    domains = {f: IntervalDomain(draw(st.sampled_from(_TREE_THRESHOLDS))) for f in range(d)}
+    if d > 1 and draw(st.booleans()):  # the last feature copies feature 0: their gains tie
+        rows = [(v[:-1] + v[:1], label) for v, label in rows]
+        domains[d - 1] = domains[0]
+    log = entries_from([(v, S if successful else U) for v, successful in rows], d=d)
+    features = draw(st.sets(st.sampled_from(range(d))))
+    return log, features, domains
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tree_cases())
+def test_build_tree_matches_reference_grower(case):
+    log, features, domains = case
+    tree = build_tree(log, features, domains)
+    expected = _reference_grow(list(log.entries), frozenset(features), domains)
+    assert _fields(tree.root) == _fields(expected)
+    assert tree.domains == domains
