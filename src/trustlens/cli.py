@@ -13,7 +13,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import engine, sim
+from . import engine, lda, sim
 from .core import Transaction, read_log_csv
 from .errors import ConfigError, InsufficientKnowledge, TrustlensError
 
@@ -110,7 +110,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_assess.add_argument("--candidate", required=True, help="comma list of candidate feature values")
     p_assess.add_argument("--context", required=True, help="candidate context tag")
     p_assess.add_argument("--counterparty", default="unknown", help="candidate counterparty id")
-    p_assess.add_argument("--min-class", type=int, default=3, help="per-class history threshold")
+    p_assess.add_argument(
+        "--min-class", type=int, default=lda.DEFAULT_MIN_CLASS_COUNT, help="per-class history threshold"
+    )
     p_assess.set_defaults(func=cmd_assess)
 
     p_ingest = sub.add_parser(
@@ -182,10 +184,6 @@ def cmd_assess(args: argparse.Namespace) -> int:
     if args.min_class < 1:
         raise ConfigError("--min-class must be >= 1")
     log = read_log_csv(args.log, context=args.context)
-    if len(features) != log.dimensionality:
-        raise ConfigError(
-            f"candidate has {len(features)} features, log expects {log.dimensionality}"
-        )
 
     candidate = Transaction("candidate", args.counterparty, args.context, features, None)
     try:

@@ -17,8 +17,6 @@ from .errors import (
     InsufficientKnowledge,
 )
 
-DEFAULT_MIN_CLASS_COUNT = 3
-
 SOURCE_LOCAL = "local"
 SOURCE_OVERLAY = "overlay"
 
@@ -46,7 +44,7 @@ def assess(
     log: TransactionLog,
     candidate: Transaction,
     overlay=None,
-    min_class_count: int = DEFAULT_MIN_CLASS_COUNT,
+    min_class_count: int = lda.DEFAULT_MIN_CLASS_COUNT,
     algorithms: Sequence[str] = _ALGORITHMS,
 ) -> Assessment:
     """Assess a pending candidate against the context-matching sub-log.
@@ -66,6 +64,8 @@ def assess(
     unknown = [a for a in algorithms if a not in _ALGORITHMS]
     if unknown:
         raise ValueError(f"unknown algorithms {unknown}; choose from {_ALGORITHMS}")
+    if not algorithms:
+        raise ValueError(f"no algorithms given; choose from {_ALGORITHMS}")
     if min_class_count < 1:
         raise ValueError(f"min_class_count must be >= 1, got {min_class_count}")
 

@@ -26,10 +26,6 @@ class DegenerateClasses(TrustlensError):
     """
 
 
-class DegenerateModel(TrustlensError):
-    """Model is unusable for sharing (coincident centroids)."""
-
-
 class DimensionMismatch(TrustlensError):
     """Feature vector length differs from the expected dimensionality."""
 

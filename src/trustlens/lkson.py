@@ -1,6 +1,7 @@
 """Knowledge-sharing overlay: a weighted directed trust graph over which
-agents exchange trained-model tuples (direction plus group centroids) instead
-of raw histories or feedbacks.
+agents exchange knowledge tuples, each carrying a provider's trained
+discriminant (direction plus group centroids), instead of raw histories or
+feedbacks.
 
 Requesters combine collected tuples weighted by provider trust, classify with
 the combined model, and afterwards adjust each provider's trust with a
@@ -10,18 +11,14 @@ predicted the realized outcome.
 
 from __future__ import annotations
 
-import csv
-import io
-import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from . import lda
 from .core import Outcome, Prediction
-from .errors import CancelledDirection, DegenerateModel, DimensionMismatch, EmptyTupleSet
+from .errors import CancelledDirection, DimensionMismatch, EmptyTupleSet
 
 MIN_DIRECTION_NORM = 1e-9
 
@@ -30,20 +27,14 @@ MIN_DIRECTION_NORM = 1e-9
 class KnowledgeTuple:
     """The shareable summary of a provider's trained model.
 
-    Carries no raw transactions: only the unit projection direction and the
-    two group centroids, plus the context the model was trained in.
+    Carries no raw transactions: only the provider's trained discriminant
+    (unit projection direction and the two group centroids), plus the
+    context the model was trained in.
     """
 
     provider: str
     context: str
-    direction: tuple[float, ...]
-    centroid_successful: tuple[float, ...]
-    centroid_unsuccessful: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        d = len(self.direction)
-        if len(self.centroid_successful) != d or len(self.centroid_unsuccessful) != d:
-            raise DimensionMismatch("tuple fields disagree on dimensionality")
+    model: lda.LdaModel
 
 
 @dataclass
@@ -74,16 +65,8 @@ def update_trust(edge: TrustEdge, correct: bool) -> float:
 
 
 def share_knowledge(provider: str, model: lda.LdaModel, context: str) -> KnowledgeTuple:
-    """Project a trained model into its shareable tuple."""
-    if np.array_equal(model.centroid_successful, model.centroid_unsuccessful):
-        raise DegenerateModel("model centroids coincide; nothing useful to share")
-    return KnowledgeTuple(
-        provider=provider,
-        context=context,
-        direction=tuple(float(x) for x in model.direction),
-        centroid_successful=tuple(float(x) for x in model.centroid_successful),
-        centroid_unsuccessful=tuple(float(x) for x in model.centroid_unsuccessful),
-    )
+    """Wrap a trained model into its shareable tuple."""
+    return KnowledgeTuple(provider=provider, context=context, model=model)
 
 
 def combine(
@@ -101,24 +84,24 @@ def combine(
         raise ValueError("one trust score per tuple is required")
     if any(s <= 0.0 for s in scores):
         raise ValueError("trust scores must be positive")
-    d = len(tuples[0].direction)
+    d = len(tuples[0].model.direction)
     context = tuples[0].context
     for t in tuples:
-        if len(t.direction) != d:
+        if len(t.model.direction) != d:
             raise DimensionMismatch("tuples disagree on dimensionality")
         if t.context != context:
             raise ValueError(f"tuples mix contexts {context!r} and {t.context!r}")
 
     weights = np.asarray(scores, dtype=float)
     weights = weights / weights.sum()
-    directions = np.asarray([t.direction for t in tuples], dtype=float)
+    directions = np.asarray([t.model.direction for t in tuples], dtype=float)
     combined = weights @ directions
     norm = np.linalg.norm(combined)
     if norm < MIN_DIRECTION_NORM:
         raise CancelledDirection("weighted directions annihilate each other")
     direction = combined / norm
-    centroid_s = weights @ np.asarray([t.centroid_successful for t in tuples], dtype=float)
-    centroid_u = weights @ np.asarray([t.centroid_unsuccessful for t in tuples], dtype=float)
+    centroid_s = weights @ np.asarray([t.model.centroid_successful for t in tuples], dtype=float)
+    centroid_u = weights @ np.asarray([t.model.centroid_unsuccessful for t in tuples], dtype=float)
     return direction, centroid_s, centroid_u
 
 
@@ -130,20 +113,8 @@ def classify_with_combined(
     Same decision rule and confidence as a locally trained discriminant,
     applied to the combined direction and centroids.
     """
-    direction, centroid_s, centroid_u = (np.asarray(x, dtype=float) for x in combined)
-    dist_s, dist_u, label = lda.decide(direction, centroid_s, centroid_u, p)
+    dist_s, dist_u, label = lda.decide(*combined, p)
     return Prediction(label, lda.confidence_lda(dist_s, dist_u), "Combined")
-
-
-def solo_prediction(knowledge: KnowledgeTuple, p: Sequence[float]) -> Outcome:
-    """Label a point using one provider's knowledge alone."""
-    _, _, label = lda.decide(
-        np.asarray(knowledge.direction, dtype=float),
-        np.asarray(knowledge.centroid_successful, dtype=float),
-        np.asarray(knowledge.centroid_unsuccessful, dtype=float),
-        p,
-    )
-    return label
 
 
 EVALUATED_FRACTION_DENOM = 5  # evaluate 1/5 of providers after a success
@@ -245,7 +216,7 @@ def post_transaction_update(
         indices = sorted(rng.choice(len(providers), size=k, replace=False).tolist())
         evaluated = [providers[i] for i in indices]
     for knowledge in evaluated:
-        predicted = solo_prediction(knowledge, p)
+        _, _, predicted = lda.classify(knowledge.model, p)
         graph.record_result(requester, knowledge.provider, correct=(predicted is outcome))
 
 
@@ -283,59 +254,3 @@ def bootstrap_providers(
             idx = rng.choice(len(unfamiliar), size=fill, replace=False)
             chosen.extend(unfamiliar[i] for i in sorted(idx.tolist()))
     return tuple(chosen)
-
-
-# Wire codec: one self-describing CSV record per tuple,
-# `provider,context,d,v_1..v_d,cs_1..cs_d,cu_1..cu_d`, floats written with
-# shortest round-trip precision.
-
-
-def encode_tuple(knowledge: KnowledgeTuple) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="")
-    d = len(knowledge.direction)
-    writer.writerow(
-        [knowledge.provider, knowledge.context, d]
-        + [repr(x) for x in knowledge.direction]
-        + [repr(x) for x in knowledge.centroid_successful]
-        + [repr(x) for x in knowledge.centroid_unsuccessful]
-    )
-    return buf.getvalue()
-
-
-def decode_tuple(line: str) -> KnowledgeTuple:
-    row = next(csv.reader([line]))
-    if len(row) < 3:
-        raise ValueError("tuple record needs at least provider, context, d")
-    provider, context, d_text = row[0], row[1], row[2]
-    d = int(d_text)
-    if d < 1:
-        raise ValueError(f"tuple record dimensionality must be >= 1, found {d}")
-    if len(row) != 3 + 3 * d:
-        raise ValueError(f"tuple record for d={d} must have {3 + 3 * d} fields, found {len(row)}")
-    values = [float(x) for x in row[3:]]
-    if not all(math.isfinite(x) for x in values):
-        raise ValueError("tuple record values must be finite")
-    return KnowledgeTuple(
-        provider=provider,
-        context=context,
-        direction=tuple(values[:d]),
-        centroid_successful=tuple(values[d : 2 * d]),
-        centroid_unsuccessful=tuple(values[2 * d :]),
-    )
-
-
-def write_tuples(tuples: Iterable[KnowledgeTuple], path: str | Path) -> None:
-    with Path(path).open("w", newline="") as fh:
-        for knowledge in tuples:
-            fh.write(encode_tuple(knowledge) + "\n")
-
-
-def read_tuples(path: str | Path) -> list[KnowledgeTuple]:
-    out = []
-    with Path(path).open(newline="") as fh:
-        for line in fh:
-            line = line.strip("\n")
-            if line:
-                out.append(decode_tuple(line))
-    return out

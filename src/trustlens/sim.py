@@ -49,7 +49,7 @@ class SimConfig:
     warmup: int = 10
     provider_list_size: int = 60
     request_fanout: int | None = None
-    min_class_count: int = 3
+    min_class_count: int = lda.DEFAULT_MIN_CLASS_COUNT
 
     def validate(self) -> None:
         if self.n_agents < 2:

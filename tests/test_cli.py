@@ -158,6 +158,7 @@ def test_assess_dimension_mismatch(tmp_path, capsys):
     write_separable_log(log_path)
     code = main(["assess", "--log", str(log_path), "--candidate", "0.5", "--context", "book"])
     assert code == 2
+    assert capsys.readouterr().err == "error: candidate has 1 features, log expects 2\n"
 
 
 def test_assess_malformed_csv_reports_position(tmp_path, capsys):

@@ -122,6 +122,14 @@ def test_min_class_count_below_one_is_rejected(min_class_count):
         assess(separable_log(), candidate([0.0, 0.0]), min_class_count=min_class_count)
 
 
+@pytest.mark.parametrize("log", [separable_log(), TransactionLog("me", 2)], ids=["deep", "thin"])
+def test_empty_algorithm_list_is_rejected(log):
+    overlay = FakeOverlay(prediction=Prediction(S, 0.8, "Combined"))
+    with pytest.raises(ValueError, match=r"no algorithms given; choose from \('lda', 'dt'\)"):
+        assess(log, candidate([0.0, 0.0]), overlay=overlay, algorithms=())
+    assert overlay.calls == []
+
+
 def test_assess_does_not_mutate_log():
     log = separable_log()
     before = [t.id for t in log.entries]

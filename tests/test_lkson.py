@@ -1,5 +1,5 @@
-"""Overlay mechanics: tuple sharing and codec, trust-weighted combination,
-beta-mean trust updates, and provider bootstrap."""
+"""Overlay mechanics: tuple sharing, trust-weighted combination, beta-mean
+trust updates, and provider bootstrap."""
 
 from __future__ import annotations
 
@@ -10,12 +10,7 @@ from hypothesis import strategies as st
 
 from trustlens import lkson
 from trustlens.core import Outcome
-from trustlens.errors import (
-    CancelledDirection,
-    DegenerateModel,
-    DimensionMismatch,
-    EmptyTupleSet,
-)
+from trustlens.errors import CancelledDirection, DimensionMismatch, EmptyTupleSet
 from trustlens.lda import LdaModel, classify, confidence_lda, train
 from trustlens.lkson import (
     KnowledgeTuple,
@@ -24,13 +19,9 @@ from trustlens.lkson import (
     bootstrap_providers,
     classify_with_combined,
     combine,
-    decode_tuple,
-    encode_tuple,
     post_transaction_update,
-    read_tuples,
     share_knowledge,
     update_trust,
-    write_tuples,
 )
 
 from conftest import make_log
@@ -49,67 +40,30 @@ def trained_model(seed=0, center_u=(1.0, 1.0)):
 
 
 def simple_tuple(provider="p1", direction=(1.0, 0.0), cs=(0.0, 0.0), cu=(2.0, 0.0), context="c"):
-    return KnowledgeTuple(provider, context, direction, cs, cu)
+    model = LdaModel(np.array(direction), np.array(cs), np.array(cu), regularization_used=0.0)
+    return KnowledgeTuple(provider, context, model)
 
 
-def test_share_knowledge_copies_model_fields():
+def test_share_knowledge_wraps_model():
     model = trained_model()
     knowledge = share_knowledge("alice", model, "book")
     assert knowledge.provider == "alice" and knowledge.context == "book"
-    assert knowledge.direction == tuple(model.direction)
-    assert knowledge.centroid_successful == tuple(model.centroid_successful)
-    assert knowledge.centroid_unsuccessful == tuple(model.centroid_unsuccessful)
-
-
-def test_share_knowledge_rejects_degenerate_model():
-    degenerate = LdaModel(
-        direction=np.array([1.0, 0.0]),
-        centroid_successful=np.array([1.0, 1.0]),
-        centroid_unsuccessful=np.array([1.0, 1.0]),
-        regularization_used=0.0,
-    )
-    with pytest.raises(DegenerateModel):
-        share_knowledge("alice", degenerate, "book")
-
-
-def test_codec_round_trip_bit_identical(tmp_path):
-    model = trained_model(seed=3)
-    knowledge = share_knowledge("a,b \"quoted\"", model, "cds, used")
-    decoded = decode_tuple(encode_tuple(knowledge))
-    assert decoded == knowledge
-
-    path = tmp_path / "tuples.csv"
-    others = [share_knowledge(f"p{i}", trained_model(seed=i), "c") for i in range(3)]
-    write_tuples([knowledge] + others, path)
-    assert read_tuples(path) == [knowledge] + others
-
-
-def test_decode_rejects_malformed_records():
-    for line in (
-        "p,c,2,1.0,0.0",  # wrong field count for d=2
-        "p,c,0",  # no dimensions
-        "p,c,-1",
-        "p,c,1,nan,0.0,1.0",
-        "p,c,1,1.0,inf,1.0",
-        "p,c,1,1.0,0.0,-inf",
-    ):
-        with pytest.raises(ValueError):
-            decode_tuple(line)
+    assert knowledge.model is model
 
 
 def test_combine_single_tuple_is_identity():
     knowledge = simple_tuple()
     direction, cs, cu = combine([knowledge], [0.37])
-    assert np.allclose(direction, knowledge.direction, rtol=1e-12)
-    assert np.allclose(cs, knowledge.centroid_successful, rtol=1e-12)
-    assert np.allclose(cu, knowledge.centroid_unsuccessful, rtol=1e-12)
+    assert np.allclose(direction, knowledge.model.direction, rtol=1e-12)
+    assert np.allclose(cs, knowledge.model.centroid_successful, rtol=1e-12)
+    assert np.allclose(cu, knowledge.model.centroid_unsuccessful, rtol=1e-12)
 
 
 def test_combine_weights_follow_trust_scores():
     a = simple_tuple("p1", (1.0, 0.0), (0.0, 0.0), (2.0, 0.0))
     b = simple_tuple("p2", (0.0, 1.0), (1.0, 1.0), (3.0, 3.0))
     direction, cs, cu = combine([a, b], [0.9, 0.1])
-    raw = 0.9 * np.array(a.direction) + 0.1 * np.array(b.direction)
+    raw = 0.9 * a.model.direction + 0.1 * b.model.direction
     assert np.allclose(direction, raw / np.linalg.norm(raw), rtol=1e-12)
     assert np.allclose(cs, [0.1, 0.1], rtol=1e-12)
     assert np.allclose(cu, [2.1, 0.3], rtol=1e-12)
@@ -118,15 +72,15 @@ def test_combine_weights_follow_trust_scores():
 def test_combine_identical_tuples_any_scores():
     knowledge = simple_tuple()
     direction, cs, cu = combine([knowledge] * 3, [0.2, 0.5, 0.9])
-    assert np.allclose(direction, knowledge.direction, rtol=1e-12)
-    assert np.allclose(cs, knowledge.centroid_successful, rtol=1e-12)
+    assert np.allclose(direction, knowledge.model.direction, rtol=1e-12)
+    assert np.allclose(cs, knowledge.model.centroid_successful, rtol=1e-12)
 
 
 def test_combine_errors():
     with pytest.raises(EmptyTupleSet):
         combine([], [])
     a = simple_tuple("p1", (1.0, 0.0))
-    b = KnowledgeTuple("p2", "c", (1.0,), (0.0,), (2.0,))
+    b = simple_tuple("p2", (1.0,), (0.0,), (2.0,))
     with pytest.raises(DimensionMismatch):
         combine([a, b], [0.5, 0.5])
     opposite = simple_tuple("p3", (-1.0, 0.0))
@@ -140,15 +94,11 @@ def test_combine_centroids_stay_in_convex_hull():
     for i in range(5):
         direction = rng.normal(size=3)
         direction = np.abs(direction) / np.linalg.norm(direction)
-        tuples.append(
-            KnowledgeTuple(
-                f"p{i}", "c", tuple(direction), tuple(rng.normal(size=3)), tuple(rng.normal(size=3))
-            )
-        )
+        tuples.append(simple_tuple(f"p{i}", direction, rng.normal(size=3), rng.normal(size=3)))
     scores = rng.uniform(0.1, 0.9, size=5).tolist()
     _, cs, cu = combine(tuples, scores)
-    all_cs = np.array([t.centroid_successful for t in tuples])
-    all_cu = np.array([t.centroid_unsuccessful for t in tuples])
+    all_cs = np.array([t.model.centroid_successful for t in tuples])
+    all_cu = np.array([t.model.centroid_unsuccessful for t in tuples])
     assert np.all(cs >= all_cs.min(axis=0) - 1e-12) and np.all(cs <= all_cs.max(axis=0) + 1e-12)
     assert np.all(cu >= all_cu.min(axis=0) - 1e-12) and np.all(cu <= all_cu.max(axis=0) + 1e-12)
 
@@ -232,7 +182,7 @@ def test_post_transaction_update_success_samples_fifth():
     assert touched == 2
 
 
-def test_wrong_solo_prediction_lowers_trust():
+def test_wrong_provider_prediction_lowers_trust():
     graph = OverlayGraph()
     rng = np.random.default_rng(0)
     # this knowledge calls p=[0.1, 0] successful, but the outcome failed

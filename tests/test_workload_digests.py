@@ -3,7 +3,9 @@
 Each case runs ``perfbench/run.py`` for one short pass and compares the
 pass-1 prediction digest with the value recorded when the workloads were
 defined. A change that alters predictions on purpose updates the pin here and
-says why in CHANGES.md.
+says why in CHANGES.md. The traced cases (``--trace 1``) also need every
+function the tracer patches to exist, and the traced pass to predict what the
+untraced passes did.
 """
 
 from __future__ import annotations
@@ -26,10 +28,17 @@ PINNED_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("workload", sorted(PINNED_DIGESTS))
-def test_pass_one_digest_is_pinned(workload):
+@pytest.mark.parametrize(
+    ("workload", "trace"),
+    [pytest.param(w, 0, id=w) for w in sorted(PINNED_DIGESTS)]
+    + [pytest.param(w, 1, id=f"{w}-traced") for w in sorted(PINNED_DIGESTS)],
+)
+def test_pass_one_digest_is_pinned(workload, trace):
     run = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1", "--seconds", "0.1"],
+        [
+            sys.executable, "perfbench/run.py", "--workload", workload,
+            "--seed", "1", "--seconds", "0.1", "--trace", str(trace),
+        ],
         cwd=ROOT,
         capture_output=True,
         text=True,
@@ -41,3 +50,6 @@ def test_pass_one_digest_is_pinned(workload):
     report = json.loads(run.stdout.strip().splitlines()[-1])
     assert report["failed"] == 0, run.stdout
     assert digest.group(1) == PINNED_DIGESTS[workload]
+    if trace:
+        assert "predictions match" in run.stdout, run.stdout
+        assert report["correct"], run.stdout
