@@ -129,12 +129,14 @@ def stereotrust_predict(log: TransactionLog, target_features: Sequence[float]) -
             domain = dtree.discretize(log, feature)
         except ConstantFeature:
             continue
-        counts = dtree.bucket_counts(log.entries, feature, domain)
-        pair = counts.get(domain.bucket_of(float(target_features[feature])))
-        if pair is None:
+        bucket = domain.bucket_of(float(target_features[feature]))
+        outcomes = [
+            t.outcome for t in log.entries if domain.bucket_of(t.features[feature]) == bucket
+        ]
+        if not outcomes:
             continue  # unpopulated group contributes nothing
-        n_s, n_u = pair
-        group_trusts.append((n_s + 1) / (n_s + n_u + 2))
+        n_s = outcomes.count(Outcome.SUCCESSFUL)
+        group_trusts.append((n_s + 1) / (len(outcomes) + 2))
     score = sum(group_trusts) / len(group_trusts) if group_trusts else 0.5
     label = Outcome.SUCCESSFUL if score > 0.5 else Outcome.UNSUCCESSFUL
     return Prediction(label, abs(2.0 * score - 1.0), "Baseline-StereoTrust")

@@ -233,15 +233,18 @@ def bootstrap_providers(
     Familiar agents (sharing the requested context) are drawn first; the
     remainder fills up uniformly at random. Returns the ids in draw order.
     """
-    candidates = [a for a in population if a != agent]
-    size = min(k, len(candidates))
+    familiar: list[str] = []
+    unfamiliar: list[str] = []
+    for a, contexts in population.items():
+        if a == agent:
+            continue
+        if context is not None and context in contexts:
+            familiar.append(a)
+        else:
+            unfamiliar.append(a)
+    size = min(k, len(familiar) + len(unfamiliar))
     if size <= 0:
         return ()
-    if context is not None:
-        familiar = [a for a in candidates if context in population[a]]
-        unfamiliar = [a for a in candidates if context not in population[a]]
-    else:
-        familiar, unfamiliar = [], candidates
 
     chosen: list[str]
     if len(familiar) >= size:

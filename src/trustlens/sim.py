@@ -11,6 +11,7 @@ and per-seed comparisons are paired.
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -184,26 +185,25 @@ def _agent_name(index: int) -> str:
 
 
 class _SimState:
-    """Mutable per-run state: logs, feedback, overlay, and model caches."""
+    """One environment, shared by every model run over it: logs, feedback
+    and each provider's current tuple."""
 
-    def __init__(self, config: SimConfig, population: Population, policy: np.random.Generator):
+    def __init__(self, config: SimConfig, population: Population):
         self.config = config
         self.population = population
-        self.policy = policy
         self.logs = [
             TransactionLog(owner=_agent_name(i), dimensionality=config.d)
             for i in range(config.n_agents)
         ]
         self.feedback = baselines.FeedbackStore()
-        self.overlay = lkson.OverlayGraph(
-            supplier=self._supply_tuples, fanout=config.request_fanout
-        )
-        self._population_contexts = {
+        self.population_contexts = {
             _agent_name(i): (SIM_CONTEXT,) for i in range(config.n_agents)
         }
         # each provider's tuple for its current log (None: it cannot train);
         # record() drops an entry when that log grows. Every simulated
         # transaction and request is in SIM_CONTEXT, so one entry per provider.
+        # A tuple depends only on the log, the context and min_class_count,
+        # so every model's overlay reads the same entries.
         self._tuples: dict[str, lkson.KnowledgeTuple | None] = {}
 
     def _supply_tuples(self, providers: Sequence[str], context: str) -> list[lkson.KnowledgeTuple]:
@@ -226,18 +226,6 @@ class _SimState:
         except (InsufficientKnowledge, DegenerateClasses):
             return None
 
-    def ensure_providers(self, trustor: int) -> None:
-        name = _agent_name(trustor)
-        if self.overlay.provider_list(name) is None:
-            providers = lkson.bootstrap_providers(
-                name,
-                self._population_contexts,
-                self.config.provider_list_size,
-                self.policy,
-                context=SIM_CONTEXT,
-            )
-            self.overlay.register_providers(name, providers)
-
     def record(self, trustor: int, provider: int, tid: str, features: np.ndarray,
                actual: Outcome, lie_draw: float) -> None:
         provider_name = _agent_name(provider)
@@ -255,92 +243,93 @@ class _SimState:
         )
 
 
-def _predict(
-    state: _SimState, trustor: int, provider: int, features: np.ndarray, round_no: int
-) -> tuple[Prediction, str, tuple[lkson.KnowledgeTuple, ...]]:
-    config = state.config
-    model = config.model
-    if model == "random":
-        return baselines.random_select(state.policy), engine.SOURCE_LOCAL, ()
-    if model == "feedback":
-        prediction = baselines.aggregate_feedback(
-            _agent_name(provider),
-            state.feedback,
-            baselines.majority_outcomes(state.logs[trustor]),
-            requester=_agent_name(trustor),
-        )
-        return prediction, engine.SOURCE_LOCAL, ()
-    if model == "stereo":
-        log = state.logs[trustor]
-        try:
-            prediction = baselines.stereotrust_predict(log, features)
-        except EmptySet:
-            prediction = Prediction(Outcome.UNSUCCESSFUL, 0.0, "Baseline-StereoTrust")
-        return prediction, engine.SOURCE_LOCAL, ()
+class _Predictor:
+    """One model's side of an environment: its policy stream, overlay and tallies.
 
-    algorithms = {"lda": ("lda",), "dt": ("dt",), "combined": ("lda", "dt")}[model]
-    state.ensure_providers(trustor)
-    candidate = Transaction(
-        f"c{round_no}", _agent_name(provider), SIM_CONTEXT, tuple(features), None
-    )
-    try:
-        assessment = engine.assess(
-            state.logs[trustor],
-            candidate,
-            overlay=state.overlay,
-            min_class_count=config.min_class_count,
-            algorithms=algorithms,
-        )
-    except InsufficientKnowledge:
-        # no local knowledge and no provider could answer: risk-averse call
-        tag = {"lda": "LDA", "dt": "DT", "combined": "Combined"}[model]
-        return Prediction(Outcome.UNSUCCESSFUL, 0.0, tag), engine.SOURCE_LOCAL, ()
-    return assessment.chosen, assessment.knowledge_source, assessment.providers_used
-
-
-def run_experiment(config: SimConfig, collect_trace: bool = True) -> ExperimentResult:
-    """Run one seeded experiment and tally prediction errors.
-
-    Every round pairs a random trustor with a random distinct provider,
-    draws the true outcome from the provider's behavior, asks the model for
-    a prediction before revealing it, then lets the trustor log the
-    completed transaction and share (possibly false) feedback. Overlay trust
-    updates run whenever third-party knowledge answered the assessment.
+    It reads the shared world but changes only its own policy stream and
+    overlay (provider lists and trust edges), so its calls are those of a
+    run on its own.
     """
-    config.validate()
-    env_seq, policy_seq = np.random.SeedSequence(config.seed).spawn(2)
-    env = np.random.Generator(np.random.PCG64(env_seq))
-    policy = np.random.Generator(np.random.PCG64(policy_seq))
 
-    population = generate_population(config, env)
-    state = _SimState(config, population, policy)
-    if config.warmup:
-        trustors = np.repeat(np.arange(config.n_agents), config.warmup)
-        draws = _draw_transactions(config, population, trustors, env)
-        for k, (trustor, provider, actual, features, lie) in enumerate(zip(trustors.tolist(), *draws)):
-            state.record(trustor, provider, f"w{k % config.warmup}", features, actual, lie)
+    def __init__(self, config: SimConfig, world: _SimState, policy_seq: np.random.SeedSequence):
+        self.config = config
+        self.world = world
+        self.policy = np.random.Generator(np.random.PCG64(policy_seq))
+        self.overlay = lkson.OverlayGraph(
+            supplier=world._supply_tuples, fanout=config.request_fanout
+        )
+        self.false_positives = self.false_negatives = 0
+        self.trace: list[TrialRecord] = []
+        self.conf_min, self.conf_max = 1.0, 0.0
 
-    rounds = config.n_transactions
-    trustors = env.integers(0, config.n_agents, size=rounds)
-    draws = _draw_transactions(config, population, trustors, env)
+    def ensure_providers(self, trustor: int) -> None:
+        name = _agent_name(trustor)
+        if self.overlay.provider_list(name) is None:
+            providers = lkson.bootstrap_providers(
+                name,
+                self.world.population_contexts,
+                self.config.provider_list_size,
+                self.policy,
+                context=SIM_CONTEXT,
+            )
+            self.overlay.register_providers(name, providers)
 
-    false_positives = false_negatives = 0
-    trace: list[TrialRecord] = []
-    conf_min, conf_max = 1.0, 0.0
+    def predict(
+        self, trustor: int, provider: int, features: np.ndarray, round_no: int
+    ) -> tuple[Prediction, str, tuple[lkson.KnowledgeTuple, ...]]:
+        world, model = self.world, self.config.model
+        if model == "random":
+            return baselines.random_select(self.policy), engine.SOURCE_LOCAL, ()
+        if model == "feedback":
+            prediction = baselines.aggregate_feedback(
+                _agent_name(provider),
+                world.feedback,
+                baselines.majority_outcomes(world.logs[trustor]),
+                requester=_agent_name(trustor),
+            )
+            return prediction, engine.SOURCE_LOCAL, ()
+        if model == "stereo":
+            log = world.logs[trustor]
+            try:
+                prediction = baselines.stereotrust_predict(log, features)
+            except EmptySet:
+                prediction = Prediction(Outcome.UNSUCCESSFUL, 0.0, "Baseline-StereoTrust")
+            return prediction, engine.SOURCE_LOCAL, ()
 
-    for i, (trustor, provider, actual, features, lie) in enumerate(zip(trustors.tolist(), *draws)):
-        prediction, source, providers_used = _predict(state, trustor, provider, features, i)
+        algorithms = {"lda": ("lda",), "dt": ("dt",), "combined": ("lda", "dt")}[model]
+        self.ensure_providers(trustor)
+        candidate = Transaction(
+            f"c{round_no}", _agent_name(provider), SIM_CONTEXT, tuple(features), None
+        )
+        try:
+            assessment = engine.assess(
+                world.logs[trustor],
+                candidate,
+                overlay=self.overlay,
+                min_class_count=self.config.min_class_count,
+                algorithms=algorithms,
+            )
+        except InsufficientKnowledge:
+            # no local knowledge and no provider could answer: risk-averse call
+            tag = {"lda": "LDA", "dt": "DT", "combined": "Combined"}[model]
+            return Prediction(Outcome.UNSUCCESSFUL, 0.0, tag), engine.SOURCE_LOCAL, ()
+        return assessment.chosen, assessment.knowledge_source, assessment.providers_used
+
+    def step(self, round_no: int, trustor: int, provider: int, actual: Outcome,
+             features: np.ndarray, collect_trace: bool) -> None:
+        """Predict one round, score the call, then update overlay trust."""
+        prediction, source, providers_used = self.predict(trustor, provider, features, round_no)
 
         if prediction.label is Outcome.SUCCESSFUL and actual is Outcome.UNSUCCESSFUL:
-            false_positives += 1
+            self.false_positives += 1
         elif prediction.label is Outcome.UNSUCCESSFUL and actual is Outcome.SUCCESSFUL:
-            false_negatives += 1
-        conf_min = min(conf_min, prediction.confidence)
-        conf_max = max(conf_max, prediction.confidence)
+            self.false_negatives += 1
+        self.conf_min = min(self.conf_min, prediction.confidence)
+        self.conf_max = max(self.conf_max, prediction.confidence)
         if collect_trace:
-            trace.append(
+            self.trace.append(
                 TrialRecord(
-                    round=i,
+                    round=round_no,
                     trustor=trustor,
                     provider=provider,
                     predicted=prediction.label,
@@ -353,12 +342,68 @@ def run_experiment(config: SimConfig, collect_trace: bool = True) -> ExperimentR
 
         if providers_used:
             lkson.post_transaction_update(
-                state.overlay, _agent_name(trustor), providers_used, actual, features, policy
+                self.overlay, _agent_name(trustor), providers_used, actual, features, self.policy
             )
-        state.record(trustor, provider, f"r{i}", features, actual, lie)
 
-    metrics = Metrics(false_positives, false_negatives, rounds)
-    return ExperimentResult(metrics, trace, conf_min, conf_max)
+    def result(self) -> ExperimentResult:
+        metrics = Metrics(self.false_positives, self.false_negatives, self.config.n_transactions)
+        return ExperimentResult(metrics, self.trace, self.conf_min, self.conf_max)
+
+
+def run_experiment(config: SimConfig, collect_trace: bool = True) -> ExperimentResult:
+    """Run one seeded experiment and tally prediction errors.
+
+    The one-model case of ``run_experiments``: ``config``'s result there is
+    the same whatever other models share its environment.
+    """
+    return run_experiments([config], collect_trace)[0]
+
+
+def run_experiments(
+    configs: Sequence[SimConfig], collect_trace: bool = True
+) -> list[ExperimentResult]:
+    """Run models over one seeded environment; one result per config.
+
+    The configs must be equal except for ``model``. Every round pairs a
+    random trustor with a random distinct provider and draws the true
+    outcome from the provider's behavior. Each model predicts before the
+    outcome is revealed, then updates its own overlay trust whenever
+    third-party knowledge answered it. The trustor then logs the completed
+    transaction and shares (possibly false) feedback, once for all models.
+
+    Each model's result equals a run on its own, because recording never
+    reads a prediction, the environment stream does not depend on the
+    model, and a provider's tuple depends only on its log, the context and
+    ``min_class_count``.
+    """
+    if not configs:
+        raise ConfigError("run_experiments needs at least one config")
+    base = configs[0]
+    for config in configs:
+        config.validate()
+        if replace(config, model=base.model) != base:
+            raise ConfigError("configs of one environment may differ only in model")
+    env_seq, policy_seq = np.random.SeedSequence(base.seed).spawn(2)
+    env = np.random.Generator(np.random.PCG64(env_seq))
+
+    population = generate_population(base, env)
+    world = _SimState(base, population)
+    if base.warmup:
+        trustors = np.repeat(np.arange(base.n_agents), base.warmup)
+        draws = _draw_transactions(base, population, trustors, env)
+        for k, (trustor, provider, actual, features, lie) in enumerate(zip(trustors.tolist(), *draws)):
+            world.record(trustor, provider, f"w{k % base.warmup}", features, actual, lie)
+
+    trustors = env.integers(0, base.n_agents, size=base.n_transactions)
+    draws = _draw_transactions(base, population, trustors, env)
+    predictors = [_Predictor(config, world, policy_seq) for config in configs]
+
+    for i, (trustor, provider, actual, features, lie) in enumerate(zip(trustors.tolist(), *draws)):
+        for predictor in predictors:
+            predictor.step(i, trustor, provider, actual, features, collect_trace)
+        world.record(trustor, provider, f"r{i}", features, actual, lie)
+
+    return [predictor.result() for predictor in predictors]
 
 
 @dataclass(frozen=True)
@@ -384,7 +429,8 @@ def cell_seed(base_seed: int, p_m: float, repeat: int) -> int:
     Excluding theta and the model keeps the environment stream identical
     across those axes: feature shifts change, but pairings and outcomes do
     not, so the random baseline is exactly theta-invariant and per-seed
-    model comparisons are paired.
+    model comparisons are paired. ``sweep`` therefore runs a cell's models
+    over one shared environment.
     """
     seq = np.random.SeedSequence([base_seed, int(round(p_m * 1_000_000)), repeat])
     return int(seq.generate_state(1, np.uint64)[0])
@@ -397,7 +443,12 @@ def sweep(
     models: Sequence[str] | None = None,
     repeats: int = 10,
 ) -> list[SweepRow]:
-    """One experiment cell per (model, theta, p_m), repeated with derived seeds."""
+    """One result row per (model, theta, p_m), each over ``repeats`` derived seeds.
+
+    Each (theta, p_m, repeat) cell runs all models over one environment
+    with ``run_experiments``; rows come model by model, then theta, then
+    p_m. A repeated model, theta or p_m value raises ``ConfigError``.
+    """
     if not theta_values or not pm_values:
         raise ConfigError("theta and p_m value lists must be non-empty")
     if repeats < 1:
@@ -408,40 +459,40 @@ def sweep(
     for model in models:
         if model not in MODELS:
             raise ConfigError(f"unknown model {model!r}; choose from {MODELS}")
+    for name, values in (("model", models), ("theta", theta_values), ("p_m", pm_values)):
+        repeated = [value for value, n in Counter(values).items() if n > 1]
+        if repeated:
+            raise ConfigError(f"{name} value {repeated[0]!r} is repeated")
+
+    def run_cell(theta: float, p_m: float, rep: int) -> list[ExperimentResult]:
+        cell = replace(base, theta=theta, p_malicious=p_m, seed=cell_seed(base.seed, p_m, rep))
+        return run_experiments([replace(cell, model=model) for model in models], collect_trace=False)
+
+    grid = [(theta, p_m) for theta in theta_values for p_m in pm_values]
+    cells = [[run_cell(theta, p_m, rep) for rep in range(repeats)] for theta, p_m in grid]
 
     rows = []
-    for model in models:
-        for theta in theta_values:
-            for p_m in pm_values:
-                fp, fn, overall, n_eval = [], [], [], 0
-                for rep in range(repeats):
-                    config = replace(
-                        base,
-                        model=model,
-                        theta=theta,
-                        p_malicious=p_m,
-                        seed=cell_seed(base.seed, p_m, rep),
-                    )
-                    result = run_experiment(config, collect_trace=False)
-                    fp.append(result.metrics.false_positive_rate)
-                    fn.append(result.metrics.false_negative_rate)
-                    overall.append(result.metrics.overall_falseness)
-                    n_eval += result.metrics.n_evaluated
-                rows.append(
-                    SweepRow(
-                        model=model,
-                        theta=float(theta),
-                        p_m=float(p_m),
-                        seed_group=base.seed,
-                        fp_rate=float(np.mean(fp)),
-                        fp_std=float(np.std(fp)),
-                        fn_rate=float(np.mean(fn)),
-                        fn_std=float(np.std(fn)),
-                        overall=float(np.mean(overall)),
-                        overall_std=float(np.std(overall)),
-                        n_eval=n_eval,
-                    )
+    for k, model in enumerate(models):
+        for (theta, p_m), runs in zip(grid, cells):
+            metrics = [results[k].metrics for results in runs]
+            fp = [m.false_positive_rate for m in metrics]
+            fn = [m.false_negative_rate for m in metrics]
+            overall = [m.overall_falseness for m in metrics]
+            rows.append(
+                SweepRow(
+                    model=model,
+                    theta=float(theta),
+                    p_m=float(p_m),
+                    seed_group=base.seed,
+                    fp_rate=float(np.mean(fp)),
+                    fp_std=float(np.std(fp)),
+                    fn_rate=float(np.mean(fn)),
+                    fn_std=float(np.std(fn)),
+                    overall=float(np.mean(overall)),
+                    overall_std=float(np.std(overall)),
+                    n_eval=sum(m.n_evaluated for m in metrics),
                 )
+            )
     return rows
 
 

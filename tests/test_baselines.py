@@ -5,7 +5,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from trustlens import dtree
 from trustlens.baselines import (
     FeedbackRecord,
     FeedbackStore,
@@ -14,8 +17,8 @@ from trustlens.baselines import (
     random_select,
     stereotrust_predict,
 )
-from trustlens.core import Outcome, Transaction, TransactionLog
-from trustlens.errors import EmptySet
+from trustlens.core import Outcome, Prediction, Transaction, TransactionLog
+from trustlens.errors import ConstantFeature, EmptySet
 
 from conftest import make_log
 
@@ -144,6 +147,49 @@ def test_stereotrust_opposing_groups_tie_break():
     prediction = stereotrust_predict(log, [0.0, 1.0])
     assert prediction.label is U
     assert prediction.confidence == pytest.approx(0.0, abs=1e-12)
+
+
+def _stereotrust_by_bucket_counts(log, target_features):
+    """Reference: count every bucket of a feature, then read the target's."""
+    group_trusts = []
+    for feature in range(log.dimensionality):
+        try:
+            domain = dtree.discretize(log, feature)
+        except ConstantFeature:
+            continue
+        counts = dtree.bucket_counts(log.entries, feature, domain)
+        pair = counts.get(domain.bucket_of(float(target_features[feature])))
+        if pair is None:
+            continue
+        n_s, n_u = pair
+        group_trusts.append((n_s + 1) / (n_s + n_u + 2))
+    score = sum(group_trusts) / len(group_trusts) if group_trusts else 0.5
+    label = S if score > 0.5 else U
+    return Prediction(label, abs(2.0 * score - 1.0), "Baseline-StereoTrust")
+
+
+# a small value grid makes ties, and its midpoints land targets on thresholds
+_GRID = [0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5]
+_values = st.one_of(st.sampled_from(_GRID), st.floats(-2.0, 3.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    d=st.integers(1, 3),
+    rows=st.lists(
+        st.tuples(st.booleans(), st.lists(_values, min_size=3, max_size=3)), min_size=1, max_size=30
+    ),
+    target=st.lists(_values, min_size=3, max_size=3),
+)
+def test_stereotrust_target_bucket_count_matches_bucket_counts(d, rows, target):
+    log = TransactionLog("me", d)
+    for i, (ok, features) in enumerate(rows):
+        log.append(Transaction(f"t{i}", "p", "c", tuple(features[:d]), S if ok else U))
+    got = stereotrust_predict(log, target[:d])
+    want = _stereotrust_by_bucket_counts(log, target[:d])
+    assert (got.label, got.confidence.hex(), got.algorithm) == (
+        want.label, want.confidence.hex(), want.algorithm
+    )
 
 
 def test_stereotrust_empty_log():

@@ -88,11 +88,31 @@ def test_simulate_rejects_empty_model_list(tmp_path, monkeypatch, capsys):
     def no_run(*args, **kwargs):
         raise AssertionError("an experiment ran with no model selected")
 
-    monkeypatch.setattr(sim, "run_experiment", no_run)
+    monkeypatch.setattr(sim, "run_experiments", no_run)
     out = tmp_path / "r.csv"
     code = main(["simulate", "--models", ",", "--theta", "0.5", "--pm", "0.5", "--out", str(out)])
     assert code == 2
     assert capsys.readouterr().err == "error: model list must be non-empty\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, values, message",
+    [
+        ("--models", "lda,random,lda", "model value 'lda' is repeated"),
+        ("--theta", "0.5,0.50", "theta value 0.5 is repeated"),
+        ("--pm", "0.2,0.5,0.2", "p_m value 0.2 is repeated"),
+    ],
+)
+def test_simulate_rejects_repeated_values(tmp_path, monkeypatch, capsys, flag, values, message):
+    def no_run(*args, **kwargs):
+        raise AssertionError("an experiment ran on a grid with a repeated value")
+
+    monkeypatch.setattr(sim, "run_experiments", no_run)
+    out = tmp_path / "r.csv"
+    code = main(SMALL_SIM + [flag, values, "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 

@@ -217,6 +217,45 @@ def test_bootstrap_prefers_familiar_and_sizes():
     assert len(listing3) == 10
 
 
+def _bootstrap_three_scans(agent, population, k, rng, context=None):
+    """Reference: candidates, familiar and unfamiliar agents in three scans."""
+    candidates = [a for a in population if a != agent]
+    size = min(k, len(candidates))
+    if size <= 0:
+        return ()
+    if context is not None:
+        familiar = [a for a in candidates if context in population[a]]
+        unfamiliar = [a for a in candidates if context not in population[a]]
+    else:
+        familiar, unfamiliar = [], candidates
+    if len(familiar) >= size:
+        idx = rng.choice(len(familiar), size=size, replace=False)
+        return tuple(familiar[i] for i in sorted(idx.tolist()))
+    chosen = list(familiar)
+    fill = size - len(familiar)
+    if fill and unfamiliar:
+        idx = rng.choice(len(unfamiliar), size=fill, replace=False)
+        chosen.extend(unfamiliar[i] for i in sorted(idx.tolist()))
+    return tuple(chosen)
+
+
+@given(
+    holdings=st.lists(st.sets(st.sampled_from("xyz"), max_size=3), min_size=1, max_size=25),
+    agent=st.integers(0, 30),
+    k=st.integers(-1, 40),
+    context=st.sampled_from([None, "x", "y", "w"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_bootstrap_matches_three_scan_reference(holdings, agent, k, context, seed):
+    population = {f"a{i}": tuple(sorted(held)) for i, held in enumerate(holdings)}
+    rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = bootstrap_providers(f"a{agent}", population, k, rng_new, context=context)
+    want = _bootstrap_three_scans(f"a{agent}", population, k, rng_old, context=context)
+    assert got == want
+    # the same draws were made, so both streams continue alike
+    assert rng_new.bit_generator.state == rng_old.bit_generator.state
+
+
 def test_bootstrap_population_of_one():
     rng = np.random.default_rng(0)
     listing = bootstrap_providers("solo", {"solo": ("c",)}, 60, rng, context="c")

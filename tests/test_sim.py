@@ -4,6 +4,7 @@ metric identities, determinism, and the sweep table."""
 from __future__ import annotations
 
 import hashlib
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from trustlens.sim import (
     cell_seed,
     generate_population,
     run_experiment,
+    run_experiments,
     sample_features,
     sweep,
     write_results_csv,
@@ -208,10 +210,8 @@ def _tuple_bits(knowledge):
     return (knowledge.provider, knowledge.context) + tuple(a.tobytes() for a in arrays)
 
 
-@pytest.mark.parametrize("min_class_count", (1, 3))
-@pytest.mark.parametrize("fanout", (None, 5))
-@pytest.mark.parametrize("warmup", (0, 2, 10))
-def test_supplier_cache_equals_retraining(monkeypatch, warmup, fanout, min_class_count):
+def _check_supplier_cache(monkeypatch, configs, min_class_count):
+    """Every supplier answer equals retraining, and each log state trains once."""
     real_supply, real_train = sim._SimState._supply_tuples, lda.train
     requests, trained = [], []
     in_supplier = []
@@ -240,14 +240,98 @@ def test_supplier_cache_equals_retraining(monkeypatch, warmup, fanout, min_class
 
     monkeypatch.setattr(sim._SimState, "_supply_tuples", checked_supply)
     monkeypatch.setattr(lda, "train", counting_train)
-    config = SimConfig(
-        n_agents=30, n_transactions=300, model="lda", theta=0.6, p_malicious=0.0, seed=17,
+    run_experiments(configs, collect_trace=False)
+    assert requests and any(requests)  # overlay requests ran and some were answered
+    assert trained and len(trained) == len(set(trained))  # one training per log state
+
+
+def _cache_config(model, warmup, fanout, min_class_count):
+    return SimConfig(
+        n_agents=30, n_transactions=300, model=model, theta=0.6, p_malicious=0.0, seed=17,
         warmup=warmup, provider_list_size=12, request_fanout=fanout,
         min_class_count=min_class_count,
     )
-    run_experiment(config, collect_trace=False)
-    assert requests and any(requests)  # overlay requests ran and some were answered
-    assert trained and len(trained) == len(set(trained))  # one training per log state
+
+
+@pytest.mark.parametrize("min_class_count", (1, 3))
+@pytest.mark.parametrize("fanout", (None, 5))
+@pytest.mark.parametrize("warmup", (0, 2, 10))
+def test_supplier_cache_equals_retraining(monkeypatch, warmup, fanout, min_class_count):
+    config = _cache_config("lda", warmup, fanout, min_class_count)
+    _check_supplier_cache(monkeypatch, [config], min_class_count)
+
+
+@pytest.mark.parametrize("min_class_count", (1, 3))
+@pytest.mark.parametrize("warmup", (0, 10))
+def test_joint_run_trains_once_per_log_state(monkeypatch, warmup, min_class_count):
+    # three overlay models read one cache: a log state trained for one is
+    # never trained again for another
+    configs = [
+        _cache_config(model, warmup, 5, min_class_count) for model in ("lda", "dt", "combined")
+    ]
+    _check_supplier_cache(monkeypatch, configs, min_class_count)
+
+
+def _run_digest(result):
+    return (result.metrics, result.trace, result.confidence_min, result.confidence_max)
+
+
+@pytest.mark.parametrize("min_class_count", (1, 3))
+@pytest.mark.parametrize("fanout", (None, 3))
+@pytest.mark.parametrize("warmup", (0, 2, 5))
+def test_run_experiments_equals_separate_runs(warmup, fanout, min_class_count):
+    configs = [
+        SimConfig(
+            n_agents=16, n_transactions=150, model=model, theta=0.4, seed=23, warmup=warmup,
+            provider_list_size=8, request_fanout=fanout, min_class_count=min_class_count,
+        )
+        for model in MODELS
+    ]
+    joint = run_experiments(configs)
+    assert len(joint) == len(configs)
+    for config, result in zip(configs, joint):
+        alone = run_experiment(config)
+        assert _run_digest(result) == _run_digest(alone), config.model
+        assert len(result.trace) == config.n_transactions
+
+
+def test_joint_run_shares_each_tuple_once(monkeypatch):
+    real_share = lkson.share_knowledge
+    shared = []
+
+    def counting_share(*args, **kwargs):
+        shared.append(args[0])
+        return real_share(*args, **kwargs)
+
+    monkeypatch.setattr(lkson, "share_knowledge", counting_share)
+    base = SimConfig(n_agents=40, n_transactions=300, theta=0.6, seed=29, warmup=3)
+    run_experiment(base, collect_trace=False)
+    alone = len(shared)
+    shared.clear()
+    run_experiments([base, replace(base, model="dt")], collect_trace=False)
+    assert alone > 0 and len(shared) == alone
+
+
+# a valid value other than the default for every field but model
+_OTHER_FIELD_VALUES = {
+    "n_agents": 11, "n_transactions": 6, "p_malicious": 0.3, "p_misbehave_good": 0.2,
+    "p_misbehave_malicious": 0.8, "theta": 0.3, "mu": 2.0, "sigma": 0.2, "d": 3, "seed": 1,
+    "warmup": 2, "provider_list_size": 5, "request_fanout": 2, "min_class_count": 2,
+}
+
+
+def test_run_experiments_rejects_empty_and_mixed_configs():
+    with pytest.raises(ConfigError):
+        run_experiments([])
+    base = SimConfig(n_agents=10, n_transactions=5)
+    assert set(_OTHER_FIELD_VALUES) == {f.name for f in fields(SimConfig)} - {"model"}
+    for name, value in _OTHER_FIELD_VALUES.items():
+        other = replace(base, model="dt", **{name: value})
+        other.validate()
+        with pytest.raises(ConfigError, match="differ only in model"):
+            run_experiments([base, other])
+    with pytest.raises(ConfigError):
+        run_experiments([base, replace(base, model="nope")])
 
 
 def test_overlay_path_is_exercised_when_history_is_thin():
