@@ -10,7 +10,6 @@ import numpy as np
 
 from . import dtree
 from .core import Outcome, Prediction, TransactionLog
-from .errors import ConstantFeature, EmptySet
 
 MIN_OVERLAP_TO_JUDGE = 2
 
@@ -119,16 +118,11 @@ def stereotrust_predict(log: TransactionLog, target_features: Sequence[float]) -
     Past transactions are bucketed per feature by supervised intervals; each
     populated bucket's trust is the beta mean of its outcomes. The target's
     score is the equal-weight average of the trusts of the buckets its values
-    fall in, with the prior 0.5 when it lands in no populated bucket.
+    fall in, with the prior 0.5 when it lands in no populated bucket. The
+    intervals are ``dtree.build_domains``'s, so an empty log raises ``EmptySet``.
     """
-    if not log.entries:
-        raise EmptySet("stereotype prediction needs a non-empty log")
     group_trusts: list[float] = []
-    for feature in range(log.dimensionality):
-        try:
-            domain = dtree.discretize(log, feature)
-        except ConstantFeature:
-            continue
+    for feature, domain in dtree.build_domains(log).items():
         bucket = domain.bucket_of(float(target_features[feature]))
         outcomes = [
             t.outcome for t in log.entries if domain.bucket_of(t.features[feature]) == bucket

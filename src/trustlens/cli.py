@@ -241,65 +241,68 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     in_path = Path(args.input)
     _check_output_path(args.out)
 
-    with in_path.open(newline="", encoding="utf-8-sig") as fh:  # a leading BOM is dropped
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ConfigError(f"{in_path} has no header row")
-        missing = [
-            column
-            for column in [mapping["id"], mapping["counterparty"], mapping["context"], mapping["outcome"]]
-            + feature_columns
-            if column not in reader.fieldnames
-        ]
-        if missing:
-            raise ConfigError(
-                f"unmappable schema: column(s) {', '.join(repr(c) for c in missing)} "
-                f"not found in header (row 1)"
-            )
+    try:
+        with in_path.open(newline="", encoding="utf-8-sig") as fh:  # a leading BOM is dropped
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None:
+                raise ConfigError(f"{in_path} has no header row")
+            missing = [
+                column
+                for column in [mapping["id"], mapping["counterparty"], mapping["context"], mapping["outcome"]]
+                + feature_columns
+                if column not in reader.fieldnames
+            ]
+            if missing:
+                raise ConfigError(
+                    f"unmappable schema: column(s) {', '.join(repr(c) for c in missing)} "
+                    f"not found in header (row 1)"
+                )
 
-        kept_rows: list[list[str]] = []
-        dropped = 0
-        outcome_counts = {"successful": 0, "unsuccessful": 0}
-        context_counts: dict[str, int] = {}
-        seen_ids: set[str] = set()
-        total = 0
-        for row in reader:
-            total += 1
-            outcome_text = (row[mapping["outcome"]] or "").strip().lower()
-            if outcome_text in _POSITIVE_OUTCOMES:
-                outcome = "1"
-            elif outcome_text in _NEGATIVE_OUTCOMES:
-                outcome = "0"
-            else:
-                dropped += 1
-                continue
-            features = []
-            valid = True
-            for column in feature_columns:
-                cell = (row[column] or "").strip()
-                try:
-                    value = float(cell)
-                except ValueError:
-                    valid = False
-                    break
-                if not math.isfinite(value):
-                    valid = False
-                    break
-                features.append(repr(value))
-            if not valid:
-                dropped += 1
-                continue
-            tid = (row[mapping["id"]] or "").strip()
-            if not tid or tid in seen_ids:
-                dropped += 1
-                continue
-            seen_ids.add(tid)
-            context = (row[mapping["context"]] or "").strip()
-            counterparty = (row[mapping["counterparty"]] or "").strip()
-            key = "successful" if outcome == "1" else "unsuccessful"
-            outcome_counts[key] += 1
-            context_counts[context] = context_counts.get(context, 0) + 1
-            kept_rows.append([tid, counterparty, context, outcome] + features)
+            kept_rows: list[list[str]] = []
+            dropped = 0
+            outcome_counts = {"successful": 0, "unsuccessful": 0}
+            context_counts: dict[str, int] = {}
+            seen_ids: set[str] = set()
+            total = 0
+            for row in reader:
+                total += 1
+                outcome_text = (row[mapping["outcome"]] or "").strip().lower()
+                if outcome_text in _POSITIVE_OUTCOMES:
+                    outcome = "1"
+                elif outcome_text in _NEGATIVE_OUTCOMES:
+                    outcome = "0"
+                else:
+                    dropped += 1
+                    continue
+                features = []
+                valid = True
+                for column in feature_columns:
+                    cell = (row[column] or "").strip()
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        valid = False
+                        break
+                    if not math.isfinite(value):
+                        valid = False
+                        break
+                    features.append(repr(value))
+                if not valid:
+                    dropped += 1
+                    continue
+                tid = (row[mapping["id"]] or "").strip()
+                if not tid or tid in seen_ids:
+                    dropped += 1
+                    continue
+                seen_ids.add(tid)
+                context = (row[mapping["context"]] or "").strip()
+                counterparty = (row[mapping["counterparty"]] or "").strip()
+                key = "successful" if outcome == "1" else "unsuccessful"
+                outcome_counts[key] += 1
+                context_counts[context] = context_counts.get(context, 0) + 1
+                kept_rows.append([tid, counterparty, context, outcome] + features)
+    except csv.Error as exc:  # e.g. an oversized field; DictReader's own line_num lags
+        raise ConfigError(f"{in_path} line {reader.reader.line_num}: unreadable CSV: {exc}") from None
 
     with Path(args.out).open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

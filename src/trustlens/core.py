@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from .errors import DimensionMismatch, DuplicateId, EmptyLog, LogFormatError
+from .errors import DimensionMismatch, DuplicateId, EmptySet, LogFormatError
 
 
 class Outcome(Enum):
@@ -41,10 +41,6 @@ class Transaction:
         object.__setattr__(self, "features", tuple(float(x) for x in self.features))
         if not all(math.isfinite(x) for x in self.features):
             raise ValueError(f"transaction {self.id!r} has non-finite feature values")
-
-    @property
-    def is_pending(self) -> bool:
-        return self.outcome is None
 
 
 @dataclass
@@ -117,7 +113,7 @@ def partition(log: TransactionLog) -> tuple[list[Transaction], list[Transaction]
     one group.
     """
     if not log.entries:
-        raise EmptyLog(f"log of {log.owner!r} has no entries to partition")
+        raise EmptySet(f"log of {log.owner!r} has no entries to partition")
     successful = [t for t in log.entries if t.outcome is Outcome.SUCCESSFUL]
     unsuccessful = [t for t in log.entries if t.outcome is Outcome.UNSUCCESSFUL]
     return successful, unsuccessful
@@ -149,53 +145,56 @@ def read_log_csv(
     ``filter_by_context(read_log_csv(path, owner), context)``.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8-sig") as fh:  # a leading BOM is dropped
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise LogFormatError("missing header row", row=1) from None
-        d = _check_header(header)
-        entries: list[Transaction] = []
-        ids: set[str] = set()
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4 + d:
-                raise LogFormatError(
-                    f"expected {4 + d} fields, found {len(row)}", row=row_no
-                )
-            tid, counterparty, row_context, outcome_text = row[:4]
-            if outcome_text == "1":
-                outcome = Outcome.SUCCESSFUL
-            elif outcome_text == "0":
-                outcome = Outcome.UNSUCCESSFUL
-            else:
-                raise LogFormatError(
-                    f"outcome must be 1 or 0, found {outcome_text!r}",
-                    row=row_no,
-                    column="outcome",
-                )
-            features = []
-            for i, cell in enumerate(row[4:], start=1):
-                try:
-                    value = float(cell)
-                except ValueError:
+    try:
+        with path.open(newline="", encoding="utf-8-sig") as fh:  # a leading BOM is dropped
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise LogFormatError("missing header row", row=1) from None
+            d = _check_header(header)
+            entries: list[Transaction] = []
+            ids: set[str] = set()
+            for row_no, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != 4 + d:
                     raise LogFormatError(
-                        f"feature value {cell!r} is not a number",
-                        row=row_no,
-                        column=f"f{i}",
-                    ) from None
-                if not math.isfinite(value):
-                    raise LogFormatError(
-                        f"feature value {cell!r} is not finite", row=row_no, column=f"f{i}"
+                        f"expected {4 + d} fields, found {len(row)}", row=row_no
                     )
-                features.append(value)
-            if tid in ids:
-                raise LogFormatError(f"duplicate transaction id {tid!r}", row=row_no, column="id")
-            ids.add(tid)
-            if context is None or row_context == context:
-                entries.append(Transaction(tid, counterparty, row_context, tuple(features), outcome))
+                tid, counterparty, row_context, outcome_text = row[:4]
+                if outcome_text == "1":
+                    outcome = Outcome.SUCCESSFUL
+                elif outcome_text == "0":
+                    outcome = Outcome.UNSUCCESSFUL
+                else:
+                    raise LogFormatError(
+                        f"outcome must be 1 or 0, found {outcome_text!r}",
+                        row=row_no,
+                        column="outcome",
+                    )
+                features = []
+                for i, cell in enumerate(row[4:], start=1):
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        raise LogFormatError(
+                            f"feature value {cell!r} is not a number",
+                            row=row_no,
+                            column=f"f{i}",
+                        ) from None
+                    if not math.isfinite(value):
+                        raise LogFormatError(
+                            f"feature value {cell!r} is not finite", row=row_no, column=f"f{i}"
+                        )
+                    features.append(value)
+                if tid in ids:
+                    raise LogFormatError(f"duplicate transaction id {tid!r}", row=row_no, column="id")
+                ids.add(tid)
+                if context is None or row_context == context:
+                    entries.append(Transaction(tid, counterparty, row_context, tuple(features), outcome))
+    except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
+        raise LogFormatError(f"unreadable CSV: {exc}", row=reader.line_num) from None
     return TransactionLog(owner=owner, dimensionality=d, entries=entries)
 
 

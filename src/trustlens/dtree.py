@@ -64,16 +64,6 @@ class DecisionTree:
     domains: dict[int, IntervalDomain]
 
 
-@dataclass(frozen=True)
-class PathStep:
-    """One internal node visited during classification."""
-
-    feature: int
-    entropy: float
-    gain: float
-    reduction: float
-
-
 def _entries(log: TransactionLog | Sequence[Transaction]) -> Sequence[Transaction]:
     return log.entries if isinstance(log, TransactionLog) else log
 
@@ -345,27 +335,25 @@ def _grow(
     )
 
 
-def classify_dt(
-    tree: DecisionTree, p: Sequence[float]
-) -> tuple[Outcome, list[PathStep]]:
-    """Descend from the root by feature value, returning label and path."""
+def classify_dt(tree: DecisionTree, p: Sequence[float]) -> tuple[Outcome, list[InternalNode]]:
+    """Descend from the root by feature value, returning label and the nodes passed."""
     point = tuple(p)
     if not all(math.isfinite(float(x)) for x in point):
         raise ValueError("candidate features must be finite")
     node = tree.root
-    path: list[PathStep] = []
+    path: list[InternalNode] = []
     while isinstance(node, InternalNode):
         if node.feature >= len(point):
             raise DimensionMismatch(
                 f"candidate has {len(point)} features, tree tests feature {node.feature}"
             )
-        path.append(PathStep(node.feature, node.entropy, node.gain, node.reduction))
+        path.append(node)
         # intervals cover the reals, so every value has a branch
         node = node.branches[tree.domains[node.feature].bucket_of(point[node.feature])]
     return node.label, path
 
 
-def confidence_dt(path: Sequence[PathStep]) -> float:
+def confidence_dt(path: Sequence[InternalNode]) -> float:
     """Product of entropy-reduction ratios along a classification path.
 
     An empty path (single-leaf tree) is fully confident; any uninformative

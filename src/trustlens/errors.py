@@ -7,16 +7,8 @@ class TrustlensError(Exception):
     """Base class for all trustlens errors."""
 
 
-class EmptyLog(TrustlensError):
-    """Operation requires a non-empty transaction log."""
-
-
-class EmptyGroup(TrustlensError):
-    """Group statistics require at least one member per group."""
-
-
 class EmptySet(TrustlensError):
-    """Entropy/tree operations require a non-empty transaction set."""
+    """Operation requires a non-empty transaction log, set or group."""
 
 
 class DegenerateClasses(TrustlensError):

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import Outcome, TransactionLog, partition
-from .errors import DegenerateClasses, DimensionMismatch, EmptyGroup, InsufficientKnowledge
+from .errors import DegenerateClasses, DimensionMismatch, EmptySet, InsufficientKnowledge
 
 # Condition-number gate above which the within-class scatter is ridged.
 ILL_CONDITIONED = 1e12
@@ -58,7 +58,7 @@ def _group_matrix(group: Iterable) -> np.ndarray:
     """
     rows = [getattr(item, "features", item) for item in group]
     if not rows:
-        raise EmptyGroup("group has no members")
+        raise EmptySet("group has no members")
     m = np.asarray(rows, dtype=float)
     if m.ndim == 1:
         m = m.reshape(-1, 1)

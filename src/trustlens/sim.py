@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -120,18 +120,6 @@ class TrialRecord:
     actual: Outcome
 
 
-@dataclass(frozen=True)
-class Population:
-    """Behavior assignment: per-agent malicious flag and misbehavior rate."""
-
-    malicious: np.ndarray
-    misbehave_prob: np.ndarray
-
-    @property
-    def n_malicious(self) -> int:
-        return int(self.malicious.sum())
-
-
 @dataclass
 class ExperimentResult:
     metrics: Metrics
@@ -140,15 +128,15 @@ class ExperimentResult:
     confidence_max: float
 
 
-def generate_population(config: SimConfig, rng: np.random.Generator) -> Population:
-    """Tag floor(p_malicious * n) agents malicious, placement shuffled."""
+def generate_population(config: SimConfig, rng: np.random.Generator) -> np.ndarray:
+    """Per-agent misbehavior probabilities: floor(p_malicious * n) agents
+    malicious, placement shuffled."""
     config.validate()
     n = config.n_agents
     flags = np.zeros(n, dtype=bool)
     flags[: int(config.p_malicious * n)] = True
     flags = rng.permutation(flags)
-    probs = np.where(flags, config.p_misbehave_malicious, config.p_misbehave_good)
-    return Population(malicious=flags, misbehave_prob=probs)
+    return np.where(flags, config.p_misbehave_malicious, config.p_misbehave_good)
 
 
 def sample_features(outcome: Outcome, config: SimConfig, rng: np.random.Generator) -> np.ndarray:
@@ -162,7 +150,7 @@ def _features(config: SimConfig, shift: float | np.ndarray, noise: np.ndarray) -
 
 
 def _draw_transactions(
-    config: SimConfig, population: Population, trustors: np.ndarray, env: np.random.Generator
+    config: SimConfig, misbehave_prob: np.ndarray, trustors: np.ndarray, env: np.random.Generator
 ) -> tuple[list[int], list[Outcome], np.ndarray, list[float]]:
     """Provider, true outcome, features and lie draw of one transaction per trustor.
 
@@ -172,7 +160,7 @@ def _draw_transactions(
     m = len(trustors)
     providers = env.integers(0, config.n_agents - 1, size=m)
     providers += providers >= trustors  # never the trustor itself
-    failed = env.random(m) < population.misbehave_prob[providers]
+    failed = env.random(m) < misbehave_prob[providers]
     lie_u = env.random(m)
     noise = env.standard_normal((m, config.d))
     features = _features(config, np.where(failed, config.theta, 0.0)[:, None], noise)
@@ -188,9 +176,9 @@ class _SimState:
     """One environment, shared by every model run over it: logs, feedback
     and each provider's current tuple."""
 
-    def __init__(self, config: SimConfig, population: Population):
+    def __init__(self, config: SimConfig, misbehave_prob: np.ndarray):
         self.config = config
-        self.population = population
+        self.misbehave_prob = misbehave_prob
         self.logs = [
             TransactionLog(owner=_agent_name(i), dimensionality=config.d)
             for i in range(config.n_agents)
@@ -234,7 +222,7 @@ class _SimState:
         self._tuples.pop(_agent_name(trustor), None)
         # the trustor shares a rating, inverted when it lies this time
         rating = actual
-        if lie_draw < self.population.misbehave_prob[trustor]:
+        if lie_draw < self.misbehave_prob[trustor]:
             rating = (
                 Outcome.UNSUCCESSFUL if actual is Outcome.SUCCESSFUL else Outcome.SUCCESSFUL
             )
@@ -386,16 +374,16 @@ def run_experiments(
     env_seq, policy_seq = np.random.SeedSequence(base.seed).spawn(2)
     env = np.random.Generator(np.random.PCG64(env_seq))
 
-    population = generate_population(base, env)
-    world = _SimState(base, population)
+    misbehave_prob = generate_population(base, env)
+    world = _SimState(base, misbehave_prob)
     if base.warmup:
         trustors = np.repeat(np.arange(base.n_agents), base.warmup)
-        draws = _draw_transactions(base, population, trustors, env)
+        draws = _draw_transactions(base, misbehave_prob, trustors, env)
         for k, (trustor, provider, actual, features, lie) in enumerate(zip(trustors.tolist(), *draws)):
             world.record(trustor, provider, f"w{k % base.warmup}", features, actual, lie)
 
     trustors = env.integers(0, base.n_agents, size=base.n_transactions)
-    draws = _draw_transactions(base, population, trustors, env)
+    draws = _draw_transactions(base, misbehave_prob, trustors, env)
     predictors = [_Predictor(config, world, policy_seq) for config in configs]
 
     for i, (trustor, provider, actual, features, lie) in enumerate(zip(trustors.tolist(), *draws)):
@@ -457,8 +445,7 @@ def sweep(
     if not models:
         raise ConfigError("model list must be non-empty")
     for model in models:
-        if model not in MODELS:
-            raise ConfigError(f"unknown model {model!r}; choose from {MODELS}")
+        replace(base, model=model).validate()
     for name, values in (("model", models), ("theta", theta_values), ("p_m", pm_values)):
         repeated = [value for value, n in Counter(values).items() if n > 1]
         if repeated:
@@ -496,29 +483,13 @@ def sweep(
     return rows
 
 
-RESULTS_HEADER = (
-    "model,theta,p_m,seed_group,fp_rate,fp_std,fn_rate,fn_std,overall,overall_std,n_eval"
-)
-
-
 def write_results_csv(rows: Iterable[SweepRow], path: str | Path) -> None:
-    """Stable-order results table, floats fixed at six decimals."""
+    """Stable-order results table: one column per ``SweepRow`` field, in
+    field order, floats fixed at six decimals."""
+    names = [f.name for f in fields(SweepRow)]
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RESULTS_HEADER.split(","))
+        writer.writerow(names)
         for row in rows:
-            writer.writerow(
-                [
-                    row.model,
-                    f"{row.theta:.6f}",
-                    f"{row.p_m:.6f}",
-                    row.seed_group,
-                    f"{row.fp_rate:.6f}",
-                    f"{row.fp_std:.6f}",
-                    f"{row.fn_rate:.6f}",
-                    f"{row.fn_std:.6f}",
-                    f"{row.overall:.6f}",
-                    f"{row.overall_std:.6f}",
-                    row.n_eval,
-                ]
-            )
+            values = (getattr(row, name) for name in names)
+            writer.writerow([f"{v:.6f}" if isinstance(v, float) else v for v in values])

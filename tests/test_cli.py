@@ -193,6 +193,7 @@ def test_assess_malformed_csv_reports_position(tmp_path, capsys):
 def _assert_one_line_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    return err
 
 
 def test_assess_log_is_a_directory(tmp_path, capsys):
@@ -207,6 +208,27 @@ def test_assess_log_not_utf8(tmp_path, capsys):
     code = main(["assess", "--log", str(log_path), "--candidate", "1.0", "--context", "book"])
     assert code == 2
     _assert_one_line_error(capsys)
+
+
+OVERSIZED = "x" * 200_000  # longer than csv.field_size_limit(), which stays as it is
+
+
+@pytest.mark.parametrize(
+    ("text", "where"),
+    [
+        (f"id,counterparty,context,outcome,f1{OVERSIZED}\n", "row 1"),
+        (f"id,counterparty,context,outcome,f1\nt1,p,book,1,1.0\nt2,{OVERSIZED},book,1,2.0\n", "row 3"),
+    ],
+    ids=["header", "row"],
+)
+def test_assess_oversized_field_is_one_line_error(tmp_path, capsys, text, where):
+    log_path = tmp_path / "log.csv"
+    log_path.write_text(text)
+    code = main(["assess", "--log", str(log_path), "--candidate", "1.0", "--context", "book"])
+    assert code == 2
+    err = _assert_one_line_error(capsys)
+    assert "Traceback" not in err
+    assert "field larger than field limit" in err and where in err
 
 
 def test_assess_log_with_byte_order_mark(tmp_path, capsys):
@@ -376,3 +398,27 @@ def test_ingest_input_with_byte_order_mark(tmp_path, capsys):
         assert code == 0
     assert capsys.readouterr().out.count("rows kept:    2") == 2
     assert (tmp_path / "bom.out").read_bytes() == (tmp_path / "plain.out").read_bytes()
+
+
+@pytest.mark.parametrize(
+    ("text", "where"),
+    [
+        (f"tid,seller,category,feedback,price{OVERSIZED}\n", "line 1"),
+        (f"tid,seller,category,feedback,price\nt1,s1,cameras,positive,1\nt2,{OVERSIZED},cameras,positive,2\n", "line 3"),
+    ],
+    ids=["header", "row"],
+)
+def test_ingest_oversized_field_is_one_line_error(tmp_path, capsys, text, where):
+    src = tmp_path / "auction.csv"
+    src.write_text(text)
+    code = main([
+        "ingest",
+        "--in", str(src),
+        "--out", str(tmp_path / "o.csv"),
+        "--map", "id=tid,counterparty=seller,context=category,outcome=feedback,features=price",
+    ])
+    assert code == 2
+    err = _assert_one_line_error(capsys)
+    assert "Traceback" not in err
+    assert f"{src} {where}:" in err and "field larger than field limit" in err
+    assert not (tmp_path / "o.csv").exists()

@@ -20,7 +20,7 @@ from trustlens.core import (
     read_log_csv,
     write_log_csv,
 )
-from trustlens.errors import DimensionMismatch, DuplicateId, EmptyLog, LogFormatError
+from trustlens.errors import DimensionMismatch, DuplicateId, EmptySet, LogFormatError
 
 from conftest import make_log
 
@@ -36,7 +36,7 @@ def test_transaction_rejects_non_finite_features():
 
 def test_pending_transaction_allowed_outside_logs():
     candidate = Transaction("t", "p", "c", (1.0,), None)
-    assert candidate.is_pending
+    assert candidate.outcome is None
     log = TransactionLog("me", 1)
     with pytest.raises(ValueError):
         log.append(candidate)
@@ -74,7 +74,7 @@ def test_partition_counts_match_enumeration():
 
 
 def test_partition_empty_log():
-    with pytest.raises(EmptyLog):
+    with pytest.raises(EmptySet):
         partition(TransactionLog("me", 1))
 
 

@@ -16,7 +16,6 @@ from trustlens.dtree import (
     IntervalDomain,
     InternalNode,
     LeafNode,
-    PathStep,
     build_domains,
     build_tree,
     classify_dt,
@@ -221,10 +220,20 @@ def test_classify_depth_one_tree():
     assert confidence_dt(path) == 1.0  # perfectly separating split
 
 
+def test_classify_path_is_the_nodes_passed():
+    data = [((0.0, 0.0), S), ((0.0, 1.0), U), ((1.0, 0.0), U), ((1.0, 1.0), S)]
+    domains = {0: IntervalDomain((0.5,)), 1: IntervalDomain((0.5,))}
+    tree = build_tree(entries_from(data), features={0, 1}, domains=domains)
+    _, path = classify_dt(tree, (1.0, 0.0))
+    assert path[0] is tree.root
+    assert path[1] is tree.root.branches[1]
+    assert isinstance(path[1].branches[0], LeafNode)
+
+
 def test_confidence_path_product():
-    path = [PathStep(0, 1.0, 0.5, 0.5), PathStep(1, 1.0, 0.8, 0.8)]
+    path = [InternalNode(0, 1.0, 0.5, 0.5, 0, ()), InternalNode(1, 1.0, 0.8, 0.8, 0, ())]
     assert confidence_dt(path) == pytest.approx(0.4, abs=1e-12)
-    zero = [PathStep(0, 1.0, 0.0, 0.0)]
+    zero = [InternalNode(0, 1.0, 0.0, 0.0, 0, ())]
     assert confidence_dt(zero) == 0.0
 
 

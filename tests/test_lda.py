@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from trustlens.core import Outcome
-from trustlens.errors import DegenerateClasses, DimensionMismatch, EmptyGroup, InsufficientKnowledge
+from trustlens.errors import DegenerateClasses, DimensionMismatch, EmptySet, InsufficientKnowledge
 from trustlens.lda import (
     classify,
     confidence_lda,
@@ -56,7 +56,7 @@ def test_centroids_match_brute_force_column_means():
 
 
 def test_centroids_empty_group_raises():
-    with pytest.raises(EmptyGroup):
+    with pytest.raises(EmptySet):
         _centroids([], [[1.0]])
 
 

@@ -16,6 +16,7 @@ from trustlens.sim import (
     MODELS,
     Metrics,
     SimConfig,
+    SweepRow,
     cell_seed,
     generate_population,
     run_experiment,
@@ -32,15 +33,13 @@ U = Outcome.UNSUCCESSFUL
 def test_generate_population_counts():
     rng = np.random.default_rng(0)
     config = SimConfig(n_agents=10_000, n_transactions=1, p_malicious=0.5)
-    population = generate_population(config, rng)
-    assert population.n_malicious == 5_000
+    probs = generate_population(config, rng)
+    assert (probs == config.p_misbehave_malicious).sum() == 5_000
 
-    assert generate_population(
-        SimConfig(n_agents=100, n_transactions=1, p_malicious=0.0), rng
-    ).n_malicious == 0
-    assert generate_population(
-        SimConfig(n_agents=100, n_transactions=1, p_malicious=1.0), rng
-    ).n_malicious == 100
+    config = SimConfig(n_agents=100, n_transactions=1, p_malicious=0.0)
+    assert (generate_population(config, rng) == config.p_misbehave_malicious).sum() == 0
+    config = SimConfig(n_agents=100, n_transactions=1, p_malicious=1.0)
+    assert (generate_population(config, rng) == config.p_misbehave_malicious).sum() == 100
 
 
 def test_config_validation():
@@ -362,6 +361,18 @@ def test_sweep_grid_size_and_random_theta_invariance(tmp_path):
     assert path_a.read_bytes() == path_b.read_bytes()
     header = path_a.read_text().splitlines()[0]
     assert header == "model,theta,p_m,seed_group,fp_rate,fp_std,fn_rate,fn_std,overall,overall_std,n_eval"
+
+
+def test_write_results_csv_follows_sweep_row_fields(tmp_path):
+    row = SweepRow(
+        model="dt", theta=0.25, p_m=0.5, seed_group=7, fp_rate=1 / 3, fp_std=0.0,
+        fn_rate=0.125, fn_std=2.5e-7, overall=0.4583333333, overall_std=1.0, n_eval=300,
+    )
+    path = tmp_path / "results.csv"
+    write_results_csv([row], path)
+    header, line = path.read_text().splitlines()
+    assert header.split(",") == [f.name for f in fields(SweepRow)]
+    assert line == "dt,0.250000,0.500000,7,0.333333,0.000000,0.125000,0.000000,0.458333,1.000000,300"
 
 
 def test_cell_seed_is_stable():
