@@ -119,10 +119,10 @@ def stereotrust_predict(log: TransactionLog, target_features: Sequence[float]) -
     populated bucket's trust is the beta mean of its outcomes. The target's
     score is the equal-weight average of the trusts of the buckets its values
     fall in, with the prior 0.5 when it lands in no populated bucket. The
-    intervals are ``dtree.build_domains``'s, so an empty log raises ``EmptySet``.
+    intervals are ``dtree.log_domains``'s, so an empty log raises ``EmptySet``.
     """
     group_trusts: list[float] = []
-    for feature, domain in dtree.build_domains(log).items():
+    for feature, domain in dtree.log_domains(log).items():
         bucket = domain.bucket_of(float(target_features[feature]))
         outcomes = [
             t.outcome for t in log.entries if domain.bucket_of(t.features[feature]) == bucket

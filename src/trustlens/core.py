@@ -12,7 +12,11 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from .errors import DimensionMismatch, DuplicateId, EmptySet, LogFormatError
+from typing import Any, Callable, Iterable
+
+from .errors import DimensionMismatch, DuplicateId, EmptySet, LogFormatError, TrustlensError
+
+_MISSING = object()
 
 
 class Outcome(Enum):
@@ -49,6 +53,7 @@ class TransactionLog:
 
     Every entry shares the log's dimensionality, has a resolved outcome, and
     a unique id. Mutation is single-writer: only the owning agent appends.
+    What is derived from the entries is kept until the next ``append``.
     """
 
     owner: str
@@ -63,6 +68,8 @@ class TransactionLog:
             self._validate_entry(t, ids)
             ids.add(t.id)
         self._ids = ids
+        self._derived: dict = {}  # key -> value computed from the current entries
+        self._raised: dict = {}  # key -> the TrustlensError its computation raised
 
     def _validate_entry(self, t: Transaction, ids: set[str]) -> None:
         if t.outcome is None:
@@ -78,6 +85,27 @@ class TransactionLog:
         self._validate_entry(t, self._ids)
         self.entries.append(t)
         self._ids.add(t.id)
+        self._derived.clear()
+        self._raised.clear()
+
+    def derived(self, key: object, compute: Callable[[TransactionLog], Any]) -> Any:
+        """``compute(self)``, kept under ``key`` until the next ``append``; a
+        ``TrustlensError`` it raised is kept and raised again."""
+        found = self._derived.get(key, _MISSING)
+        if found is _MISSING:
+            if key in self._raised:  # not on top of an earlier raise's traceback
+                raise self._raised[key].with_traceback(None)
+            try:
+                found = self._derived[key] = compute(self)
+            except TrustlensError as exc:
+                self._raised[key] = exc
+                raise
+        return found
+
+    def context_view(self, context: str) -> TransactionLog:
+        """``filter_by_context(self, context)``, made once per log state and
+        shared: its readers must not append to it."""
+        return self.derived(("context", context), lambda log: filter_by_context(log, context))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -104,6 +132,17 @@ class Prediction:
     def __post_init__(self) -> None:
         if not 0.0 <= self.confidence <= 1.0:
             raise ValueError(f"confidence {self.confidence} outside [0, 1]")
+
+
+def derived_each(
+    logs: Iterable[TransactionLog], key: object, compute: Callable[[TransactionLog], Any]
+) -> list:
+    """``[log.derived(key, compute) for log in logs]``, without a method call per kept value."""
+    values = []
+    for log in logs:
+        found = log._derived.get(key, _MISSING)
+        values.append(log.derived(key, compute) if found is _MISSING else found)
+    return values
 
 
 def partition(log: TransactionLog) -> tuple[list[Transaction], list[Transaction]]:
@@ -142,7 +181,8 @@ def read_log_csv(
     Every row is checked (field count, outcome, finite features, ids unique
     across the whole file), whatever its context. With ``context`` set, only
     the rows in that context become entries, which equals
-    ``filter_by_context(read_log_csv(path, owner), context)``.
+    ``filter_by_context(read_log_csv(path, owner), context)``. An error's
+    ``row`` is the physical line its record ends on, the header being line 1.
     """
     path = Path(path)
     try:
@@ -155,12 +195,12 @@ def read_log_csv(
             d = _check_header(header)
             entries: list[Transaction] = []
             ids: set[str] = set()
-            for row_no, row in enumerate(reader, start=2):
+            for row in reader:
                 if not row:
                     continue
                 if len(row) != 4 + d:
                     raise LogFormatError(
-                        f"expected {4 + d} fields, found {len(row)}", row=row_no
+                        f"expected {4 + d} fields, found {len(row)}", row=reader.line_num
                     )
                 tid, counterparty, row_context, outcome_text = row[:4]
                 if outcome_text == "1":
@@ -170,7 +210,7 @@ def read_log_csv(
                 else:
                     raise LogFormatError(
                         f"outcome must be 1 or 0, found {outcome_text!r}",
-                        row=row_no,
+                        row=reader.line_num,
                         column="outcome",
                     )
                 features = []
@@ -180,16 +220,16 @@ def read_log_csv(
                     except ValueError:
                         raise LogFormatError(
                             f"feature value {cell!r} is not a number",
-                            row=row_no,
+                            row=reader.line_num,
                             column=f"f{i}",
                         ) from None
                     if not math.isfinite(value):
                         raise LogFormatError(
-                            f"feature value {cell!r} is not finite", row=row_no, column=f"f{i}"
+                            f"feature value {cell!r} is not finite", row=reader.line_num, column=f"f{i}"
                         )
                     features.append(value)
                 if tid in ids:
-                    raise LogFormatError(f"duplicate transaction id {tid!r}", row=row_no, column="id")
+                    raise LogFormatError(f"duplicate transaction id {tid!r}", row=reader.line_num, column="id")
                 ids.add(tid)
                 if context is None or row_context == context:
                     entries.append(Transaction(tid, counterparty, row_context, tuple(features), outcome))

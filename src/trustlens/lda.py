@@ -226,3 +226,8 @@ def train(
     # overflow in the scatter or the solve surfaces as DegenerateClasses
     with np.errstate(all="ignore"):
         return projection_direction(scatter(group_s, group_u), regularization=regularization)
+
+
+def log_model(log: TransactionLog, min_class_count: int = DEFAULT_MIN_CLASS_COUNT) -> LdaModel:
+    """``train(log, min_class_count)``, trained once per log state (``TransactionLog.derived``)."""
+    return log.derived(("lda", min_class_count), lambda log: train(log, min_class_count=min_class_count))

@@ -220,28 +220,48 @@ def post_transaction_update(
         graph.record_result(requester, knowledge.provider, correct=(predicted is outcome))
 
 
+class ContextIndex:
+    """A population indexed once: per context, the agents that hold it and
+    the rest, each in population order with every agent's position in it."""
+
+    def __init__(self, population: Mapping[str, Iterable[str]]):
+        held = {agent: frozenset(contexts) for agent, contexts in population.items()}
+        self._unknown = (_positioned(()), _positioned(held))  # a context no agent holds
+        self._groups = {
+            context: (
+                _positioned(a for a in held if context in held[a]),
+                _positioned(a for a in held if context not in held[a]),
+            )
+            for context in frozenset().union(*held.values())
+        }
+
+    def split(self, agent: str, context: str | None) -> tuple[tuple[str, ...], ...]:
+        """(familiar, unfamiliar) agents for ``context``, ``agent`` dropped by a slice."""
+        return tuple(
+            agents if (at := where.get(agent)) is None else agents[:at] + agents[at + 1 :]
+            for agents, where in self._groups.get(context, self._unknown)
+        )
+
+
+def _positioned(agents: Iterable[str]) -> tuple[tuple[str, ...], dict[str, int]]:
+    agents = tuple(agents)
+    return agents, {a: i for i, a in enumerate(agents)}
+
+
 def bootstrap_providers(
     agent: str,
-    population: Mapping[str, Iterable[str]],
+    index: ContextIndex,
     k: int,
     rng: np.random.Generator,
     context: str | None = None,
 ) -> tuple[str, ...]:
     """Draw an initial provider list, preferring context-familiar agents.
 
-    ``population`` maps agent ids to the contexts they hold knowledge for.
-    Familiar agents (sharing the requested context) are drawn first; the
-    remainder fills up uniformly at random. Returns the ids in draw order.
+    ``index`` holds the population's agents by context. Familiar agents
+    (sharing the requested context) are drawn first; the remainder fills up
+    uniformly at random. Returns the ids in draw order.
     """
-    familiar: list[str] = []
-    unfamiliar: list[str] = []
-    for a, contexts in population.items():
-        if a == agent:
-            continue
-        if context is not None and context in contexts:
-            familiar.append(a)
-        else:
-            unfamiliar.append(a)
+    familiar, unfamiliar = index.split(agent, context)
     size = min(k, len(familiar) + len(unfamiliar))
     if size <= 0:
         return ()

@@ -19,7 +19,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import baselines, engine, lda, lkson
-from .core import Outcome, Prediction, Transaction, TransactionLog, filter_by_context
+from .core import Outcome, Prediction, Transaction, TransactionLog, derived_each
+from .core import filter_by_context  # noqa: F401  (not called; perfbench's tracer test patches it)
 from .errors import ConfigError, DegenerateClasses, EmptySet, InsufficientKnowledge
 
 MODELS = ("lda", "dt", "combined", "random", "feedback", "stereo")
@@ -174,7 +175,7 @@ def _agent_name(index: int) -> str:
 
 class _SimState:
     """One environment, shared by every model run over it: logs, feedback
-    and each provider's current tuple."""
+    and the population's context index."""
 
     def __init__(self, config: SimConfig, misbehave_prob: np.ndarray):
         self.config = config
@@ -183,43 +184,28 @@ class _SimState:
             TransactionLog(owner=_agent_name(i), dimensionality=config.d)
             for i in range(config.n_agents)
         ]
+        self._log_of = {log.owner: log for log in self.logs}
         self.feedback = baselines.FeedbackStore()
-        self.population_contexts = {
-            _agent_name(i): (SIM_CONTEXT,) for i in range(config.n_agents)
-        }
-        # each provider's tuple for its current log (None: it cannot train);
-        # record() drops an entry when that log grows. Every simulated
-        # transaction and request is in SIM_CONTEXT, so one entry per provider.
-        # A tuple depends only on the log, the context and min_class_count,
-        # so every model's overlay reads the same entries.
-        self._tuples: dict[str, lkson.KnowledgeTuple | None] = {}
+        self.contexts = lkson.ContextIndex(
+            {_agent_name(i): (SIM_CONTEXT,) for i in range(config.n_agents)}
+        )
 
     def _supply_tuples(self, providers: Sequence[str], context: str) -> list[lkson.KnowledgeTuple]:
-        for provider in providers:
-            if provider not in self._tuples:
-                self._tuples[provider] = self._train_tuple(provider, context)
-        return [k for k in map(self._tuples.get, providers) if k is not None]
-
-    def _train_tuple(self, provider: str, context: str) -> lkson.KnowledgeTuple | None:
-        log = self.logs[int(provider[1:])]
-        # the whole log's class counts bound its in-context ones: below the
-        # threshold lda.train would only raise InsufficientKnowledge
-        if min(log.class_counts()) < self.config.min_class_count:
-            return None
-        try:
-            model = lda.train(
-                filter_by_context(log, context), min_class_count=self.config.min_class_count
-            )
-            return lkson.share_knowledge(provider, model, context)
-        except (InsufficientKnowledge, DegenerateClasses):
-            return None
+        # a provider's tuple (None: it cannot train) is made once per log state
+        # and shares its LDA model with the owner's local assessment
+        mcc = self.config.min_class_count
+        found = derived_each(
+            map(self._log_of.__getitem__, providers),
+            ("tuple", context, mcc),
+            lambda log: _knowledge(log, context, mcc),
+        )
+        return [k for k in found if k is not None]
 
     def record(self, trustor: int, provider: int, tid: str, features: np.ndarray,
                actual: Outcome, lie_draw: float) -> None:
         provider_name = _agent_name(provider)
         entry = Transaction(tid, provider_name, SIM_CONTEXT, tuple(features), actual)
         self.logs[trustor].append(entry)
-        self._tuples.pop(_agent_name(trustor), None)
         # the trustor shares a rating, inverted when it lies this time
         rating = actual
         if lie_draw < self.misbehave_prob[trustor]:
@@ -229,6 +215,19 @@ class _SimState:
         self.feedback.add(
             baselines.FeedbackRecord(rater=_agent_name(trustor), target=provider_name, rating=rating)
         )
+
+
+def _knowledge(log: TransactionLog, context: str, min_class_count: int) -> lkson.KnowledgeTuple | None:
+    """A provider's tuple for its current log, or None while it cannot train."""
+    # the whole log's class counts bound its in-context ones: below the
+    # threshold lda.train would only raise InsufficientKnowledge
+    if min(log.class_counts()) < min_class_count:
+        return None
+    try:
+        model = lda.log_model(log.context_view(context), min_class_count)
+        return lkson.share_knowledge(log.owner, model, context)
+    except (InsufficientKnowledge, DegenerateClasses):
+        return None
 
 
 class _Predictor:
@@ -255,7 +254,7 @@ class _Predictor:
         if self.overlay.provider_list(name) is None:
             providers = lkson.bootstrap_providers(
                 name,
-                self.world.population_contexts,
+                self.world.contexts,
                 self.config.provider_list_size,
                 self.policy,
                 context=SIM_CONTEXT,
@@ -277,9 +276,10 @@ class _Predictor:
             )
             return prediction, engine.SOURCE_LOCAL, ()
         if model == "stereo":
-            log = world.logs[trustor]
+            # the whole log (all in SIM_CONTEXT), sharing intervals with DT's view
+            view = world.logs[trustor].context_view(SIM_CONTEXT)
             try:
-                prediction = baselines.stereotrust_predict(log, features)
+                prediction = baselines.stereotrust_predict(view, features)
             except EmptySet:
                 prediction = Prediction(Outcome.UNSUCCESSFUL, 0.0, "Baseline-StereoTrust")
             return prediction, engine.SOURCE_LOCAL, ()
@@ -361,7 +361,8 @@ def run_experiments(
 
     Each model's result equals a run on its own, because recording never
     reads a prediction, the environment stream does not depend on the
-    model, and a provider's tuple depends only on its log, the context and
+    model, and what the models derive from a log (its LDA model, intervals
+    and tuple) depends only on the log state, the context and
     ``min_class_count``.
     """
     if not configs:

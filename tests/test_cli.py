@@ -231,6 +231,24 @@ def test_assess_oversized_field_is_one_line_error(tmp_path, capsys, text, where)
     assert "field larger than field limit" in err and where in err
 
 
+@pytest.mark.parametrize(
+    ("bad_row", "message"),
+    [
+        ("t2,p,book,2,1.0", "outcome must be 1 or 0"),
+        (f"t2,{OVERSIZED},book,1,2.0", "field larger than field limit"),
+    ],
+    ids=["bad-outcome", "oversized"],
+)
+def test_assess_error_names_physical_line_after_multiline_field(tmp_path, capsys, bad_row, message):
+    # row 2's quoted counterparty spans physical lines 2-3, so the defect is on line 4
+    log_path = tmp_path / "log.csv"
+    log_path.write_text(f'id,counterparty,context,outcome,f1\nt1,"two\nlines",book,1,1.0\n{bad_row}\n')
+    code = main(["assess", "--log", str(log_path), "--candidate", "1.0", "--context", "book"])
+    assert code == 2
+    err = _assert_one_line_error(capsys)
+    assert message in err and "(row 4" in err
+
+
 def test_assess_log_with_byte_order_mark(tmp_path, capsys):
     plain = tmp_path / "log.csv"
     write_separable_log(plain)

@@ -15,12 +15,19 @@ from trustlens.core import (
     Prediction,
     Transaction,
     TransactionLog,
+    derived_each,
     filter_by_context,
     partition,
     read_log_csv,
     write_log_csv,
 )
-from trustlens.errors import DimensionMismatch, DuplicateId, EmptySet, LogFormatError
+from trustlens.errors import (
+    DegenerateClasses,
+    DimensionMismatch,
+    DuplicateId,
+    EmptySet,
+    LogFormatError,
+)
 
 from conftest import make_log
 
@@ -88,6 +95,75 @@ def test_partition_is_bijection_and_order_preserving():
     assert sorted(t.id for t in group_s + group_u) == sorted(t.id for t in log.entries)
     ids_s = [t.id for t in group_s]
     assert ids_s == [t.id for t in log.entries if t.outcome is Outcome.SUCCESSFUL]
+
+
+def test_derived_value_lasts_until_append():
+    log = make_log([(0.0,)], [(1.0,)])
+    calls = []
+
+    def compute(entries_of):
+        calls.append(len(entries_of))
+        return object()
+
+    first = log.derived("k", compute)
+    assert log.derived("k", compute) is first and calls == [2]
+    log.append(Transaction("n", "p", "c", (2.0,), Outcome.SUCCESSFUL))
+    assert log.derived("k", compute) is not first and calls == [2, 3]
+
+
+def test_derived_keeps_trustlens_errors_only():
+    log = make_log([(0.0,)], [(1.0,)])
+    calls = []
+
+    def degenerate(_):
+        calls.append("degenerate")
+        raise DegenerateClasses("no direction")
+
+    def broken(_):
+        calls.append("broken")
+        raise ValueError("not a property of the entries")
+
+    for _ in range(2):
+        with pytest.raises(DegenerateClasses, match="no direction"):
+            log.derived("d", degenerate)
+        with pytest.raises(ValueError):
+            log.derived("v", broken)
+    assert calls == ["degenerate", "broken", "broken"]
+
+
+def test_derived_each_reads_kept_values_and_computes_the_rest():
+    logs = [make_log([(float(i),)], [(9.0,)], owner=f"o{i}") for i in range(3)]
+    computed = []
+
+    def compute(log):
+        computed.append(log.owner)
+        return (log.owner, len(log))
+
+    kept = logs[1].derived("k", compute)
+    assert derived_each(logs, "k", compute) == [("o0", 2), ("o1", 2), ("o2", 2)]
+    assert derived_each(logs, "k", compute)[1] is kept
+    assert computed == ["o1", "o0", "o2"]
+
+    def degenerate(log):
+        raise DegenerateClasses("kept")
+
+    with pytest.raises(DegenerateClasses):
+        logs[0].derived("bad", degenerate)
+    with pytest.raises(DegenerateClasses, match="kept"):
+        derived_each(logs, "bad", compute)  # the kept error, not a new computation
+    assert computed == ["o1", "o0", "o2"]
+
+
+def test_context_view_is_shared_until_append():
+    log = make_log([(0.0,), (1.0,)], [(2.0,)], context="book")
+    log.append(Transaction("d1", "p", "dvd", (3.0,), Outcome.SUCCESSFUL))
+    view = log.context_view("book")
+    assert log.context_view("book") is view
+    assert view.entries == filter_by_context(log, "book").entries
+    assert filter_by_context(log, "book") is not filter_by_context(log, "book")
+    log.append(Transaction("b9", "p", "book", (4.0,), Outcome.UNSUCCESSFUL))
+    grown = log.context_view("book")
+    assert grown is not view and len(grown) == len(view) + 1 == 4
 
 
 def test_filter_by_context_matches():

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trustlens.core import Outcome, Prediction, Transaction, TransactionLog
 from trustlens.engine import SOURCE_LOCAL, SOURCE_OVERLAY, assess, record_outcome
@@ -170,3 +172,37 @@ def test_monotone_sufficiency():
         record_outcome(log, Transaction(f"extra{i}", "p", "c", features, outcome))
         assessment = assess(log, candidate([0.5, 0.5]))
         assert assessment.knowledge_source == SOURCE_LOCAL
+
+
+def _assessed(log, probe, min_class_count):
+    """Every prediction with its confidence bits, or the error raised."""
+    try:
+        result = assess(log, probe, min_class_count=min_class_count)
+    except InsufficientKnowledge:
+        return "insufficient"
+    predictions = [(p.label, p.algorithm, p.confidence.hex()) for p in result.predictions]
+    return predictions, result.chosen.algorithm, result.class_counts
+
+
+_STEP = st.tuples(
+    st.booleans(),  # True: record a completed transaction; False: assess a candidate
+    st.sampled_from(("a", "b")),
+    st.lists(st.sampled_from((0.0, 0.5, 1.0, 1.5, 3.0)), min_size=2, max_size=2),
+    st.sampled_from((S, U)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(steps=st.lists(_STEP, max_size=40), min_class_count=st.integers(1, 2))
+def test_growing_log_assesses_like_a_fresh_copy(steps, min_class_count):
+    # what a log keeps between appends must never answer for an older state
+    log = TransactionLog(owner="me", dimensionality=2)
+    for i, (is_record, context, features, outcome) in enumerate(steps):
+        if is_record:
+            record_outcome(log, Transaction(f"t{i}", "p", context, tuple(features), outcome))
+            continue
+        probe = Transaction(f"q{i}", "x", context, tuple(features), None)
+        fresh = TransactionLog(log.owner, log.dimensionality, list(log.entries))
+        want = _assessed(fresh, probe, min_class_count)
+        assert _assessed(log, probe, min_class_count) == want
+        assert _assessed(log, probe, min_class_count) == want  # and again from what it kept

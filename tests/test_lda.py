@@ -10,11 +10,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from trustlens.core import Outcome
+from trustlens import lda
+from trustlens.core import Outcome, Transaction
 from trustlens.errors import DegenerateClasses, DimensionMismatch, EmptySet, InsufficientKnowledge
 from trustlens.lda import (
     classify,
     confidence_lda,
+    log_model,
     projection_direction,
     scatter,
     train,
@@ -198,6 +200,46 @@ def test_train_insufficient_and_degenerate():
         train(make_log([[0.0]] * 2, [[1.0]] * 5))
     with pytest.raises(DegenerateClasses):
         train(make_log([[1.0, 1.0]] * 3, [[1.0, 1.0]] * 3))
+
+
+@pytest.mark.parametrize(
+    ("error", "log"),
+    [
+        (InsufficientKnowledge, make_log([[0.0]] * 2, [[1.0]] * 5)),
+        (DegenerateClasses, make_log([[1.0, 1.0]] * 3, [[1.0, 1.0]] * 3)),
+    ],
+    ids=["insufficient", "degenerate"],
+)
+def test_log_model_raises_a_kept_error_again_without_training(monkeypatch, error, log):
+    real_train, trained = lda.train, []
+
+    def counting_train(*args, **kwargs):
+        trained.append(len(args[0]))
+        return real_train(*args, **kwargs)
+
+    monkeypatch.setattr(lda, "train", counting_train)
+    depths = []
+    for _ in range(3):
+        with pytest.raises(error) as info:
+            log_model(log)
+        depths.append(len(info.traceback))
+    assert len(trained) == 1
+    assert depths[1] == depths[2]  # a hit's traceback does not grow from hit to hit
+    # one more successful entry makes either log trainable: the kept error is gone
+    log.append(Transaction("late", "p", "c", (9.0,) * log.dimensionality, Outcome.SUCCESSFUL))
+    assert log_model(log).direction.shape == (log.dimensionality,)
+    assert len(trained) == 2
+
+
+def test_log_model_is_trained_once_per_log_state(monkeypatch):
+    log = make_log([[0.0, 0.1], [0.2, 0.0], [0.1, 0.3]], [[1.0, 1.1], [0.9, 1.0], [1.2, 0.8]])
+    real_train, trained = lda.train, []
+    monkeypatch.setattr(lda, "train", lambda *a, **k: trained.append(1) or real_train(*a, **k))
+    model = log_model(log)
+    assert log_model(log) is model and len(trained) == 1
+    assert model.direction.tobytes() == real_train(log).direction.tobytes()
+    assert log_model(log, min_class_count=1) is not model  # kept per threshold
+    assert len(trained) == 2
 
 
 def test_translation_invariance():

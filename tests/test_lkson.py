@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from trustlens import lkson
+from trustlens import lkson, sim
 from trustlens.core import Outcome
 from trustlens.errors import CancelledDirection, DimensionMismatch, EmptyTupleSet
 from trustlens.lda import LdaModel, classify, confidence_lda, train
 from trustlens.lkson import (
+    ContextIndex,
     KnowledgeTuple,
     OverlayGraph,
     TrustEdge,
@@ -23,6 +24,7 @@ from trustlens.lkson import (
     share_knowledge,
     update_trust,
 )
+from trustlens.sim import SimConfig, run_experiment
 
 from conftest import make_log
 
@@ -196,7 +198,7 @@ def test_bootstrap_prefers_familiar_and_sizes():
     rng = np.random.default_rng(12)
     population = {f"a{i}": ("book",) for i in range(80)}
     population.update({f"b{i}": ("camera",) for i in range(40)})
-    listing = bootstrap_providers("a0", population, 60, rng, context="book")
+    listing = bootstrap_providers("a0", ContextIndex(population), 60, rng, context="book")
     assert len(listing) == 60
     graph = OverlayGraph()
     graph.register_providers("a0", listing)
@@ -205,14 +207,14 @@ def test_bootstrap_prefers_familiar_and_sizes():
 
     # all candidates share the context: everyone drawn from the familiar pool
     small = {f"a{i}": ("book",) for i in range(10)}
-    listing2 = bootstrap_providers("a0", small, 5, rng, context="book")
+    listing2 = bootstrap_providers("a0", ContextIndex(small), 5, rng, context="book")
     assert len(listing2) == 5
     assert all(p.startswith("a") for p in listing2)
 
     # fewer familiar agents than requested: the rest fills from the others
     mixed = {f"a{i}": ("book",) for i in range(3)}
     mixed.update({f"b{i}": ("camera",) for i in range(20)})
-    listing3 = bootstrap_providers("a0", mixed, 10, rng, context="book")
+    listing3 = bootstrap_providers("a0", ContextIndex(mixed), 10, rng, context="book")
     assert set(p for p in listing3 if p.startswith("a")) == {"a1", "a2"}
     assert len(listing3) == 10
 
@@ -249,16 +251,37 @@ def _bootstrap_three_scans(agent, population, k, rng, context=None):
 def test_bootstrap_matches_three_scan_reference(holdings, agent, k, context, seed):
     population = {f"a{i}": tuple(sorted(held)) for i, held in enumerate(holdings)}
     rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = bootstrap_providers(f"a{agent}", population, k, rng_new, context=context)
+    got = bootstrap_providers(f"a{agent}", ContextIndex(population), k, rng_new, context=context)
     want = _bootstrap_three_scans(f"a{agent}", population, k, rng_old, context=context)
     assert got == want
     # the same draws were made, so both streams continue alike
     assert rng_new.bit_generator.state == rng_old.bit_generator.state
 
 
+def test_simulator_provider_lists_match_three_scan_reference(monkeypatch):
+    # the simulator's population: every agent holds the one simulated context
+    config = SimConfig(n_agents=30, n_transactions=200, seed=5, warmup=2, provider_list_size=12)
+    population = {f"a{i}": (sim.SIM_CONTEXT,) for i in range(config.n_agents)}
+    real_bootstrap, listed = lkson.bootstrap_providers, []
+
+    def checked_bootstrap(agent, index, k, rng, context=None):
+        twin = np.random.Generator(np.random.PCG64())
+        twin.bit_generator.state = rng.bit_generator.state
+        want = _bootstrap_three_scans(agent, population, k, twin, context=context)
+        got = real_bootstrap(agent, index, k, rng, context=context)
+        assert got == want and len(got) == config.provider_list_size
+        assert rng.bit_generator.state == twin.bit_generator.state
+        listed.append(agent)
+        return got
+
+    monkeypatch.setattr(lkson, "bootstrap_providers", checked_bootstrap)
+    run_experiment(config, collect_trace=False)
+    assert listed and len(listed) == len(set(listed))  # one list per trustor
+
+
 def test_bootstrap_population_of_one():
     rng = np.random.default_rng(0)
-    listing = bootstrap_providers("solo", {"solo": ("c",)}, 60, rng, context="c")
+    listing = bootstrap_providers("solo", ContextIndex({"solo": ("c",)}), 60, rng, context="c")
     assert listing == ()
 
 
@@ -271,7 +294,9 @@ def test_overlay_graph_end_to_end():
 
     graph = OverlayGraph(supplier=supplier)
     rng = np.random.default_rng(2)
-    listing = bootstrap_providers("me", {p: ("c",) for p in list(providers) + ["me"]}, 4, rng, context="c")
+    listing = bootstrap_providers(
+        "me", ContextIndex({p: ("c",) for p in list(providers) + ["me"]}), 4, rng, context="c"
+    )
     graph.register_providers("me", listing)
 
     prediction, tuples_used = graph.combined_assessment("me", "c", [0.0, 0.0])

@@ -9,7 +9,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from trustlens import lda, lkson, sim
+from trustlens import dtree, lda, lkson, sim
 from trustlens.core import Outcome, filter_by_context
 from trustlens.errors import ConfigError, DegenerateClasses, InsufficientKnowledge
 from trustlens.sim import (
@@ -210,10 +210,11 @@ def _tuple_bits(knowledge):
 
 
 def _check_supplier_cache(monkeypatch, configs, min_class_count):
-    """Every supplier answer equals retraining, and each log state trains once."""
+    """Every supplier answer equals retraining, and each log state trains
+    once, whether the supplier or the owner's local assessment trains it."""
     real_supply, real_train = sim._SimState._supply_tuples, lda.train
     requests, trained = [], []
-    in_supplier = []
+    in_supplier, in_oracle = [], []
 
     def checked_supply(state, providers, context):
         in_supplier.append(True)
@@ -222,26 +223,35 @@ def _check_supplier_cache(monkeypatch, configs, min_class_count):
         finally:
             in_supplier.pop()
         logs = [state.logs[int(p[1:])] for p in providers]
-        expected = [
-            knowledge
-            for knowledge in (_retrained_tuple(log, context, min_class_count) for log in logs)
-            if knowledge is not None
-        ]
+        in_oracle.append(True)
+        try:
+            expected = [
+                knowledge
+                for knowledge in (_retrained_tuple(log, context, min_class_count) for log in logs)
+                if knowledge is not None
+            ]
+        finally:
+            in_oracle.pop()
         assert [_tuple_bits(k) for k in got] == [_tuple_bits(k) for k in expected]
         requests.append(len(got))
         return got
 
     def counting_train(log, *args, **kwargs):
+        if in_oracle:
+            return real_train(log, *args, **kwargs)
         if in_supplier:
             assert min(log.class_counts()) >= min_class_count
-            trained.append((log.owner, len(log)))
+        trained.append((log.owner, len(log), bool(in_supplier)))
         return real_train(log, *args, **kwargs)
 
     monkeypatch.setattr(sim._SimState, "_supply_tuples", checked_supply)
     monkeypatch.setattr(lda, "train", counting_train)
     run_experiments(configs, collect_trace=False)
     assert requests and any(requests)  # overlay requests ran and some were answered
-    assert trained and len(trained) == len(set(trained))  # one training per log state
+    # both paths trained, and no log state trained twice on either or across them
+    assert {by_supplier for _, _, by_supplier in trained} == {False, True}
+    states = [(owner, size) for owner, size, _ in trained]
+    assert len(states) == len(set(states))
 
 
 def _cache_config(model, warmup, fanout, min_class_count):
@@ -269,6 +279,34 @@ def test_joint_run_trains_once_per_log_state(monkeypatch, warmup, min_class_coun
         _cache_config(model, warmup, 5, min_class_count) for model in ("lda", "dt", "combined")
     ]
     _check_supplier_cache(monkeypatch, configs, min_class_count)
+
+
+def test_joint_run_builds_domains_once_per_log_state(monkeypatch):
+    # dt's local assessment and StereoTrust read one set of intervals per log state
+    real_build, built = dtree.build_domains, []
+
+    def counting_build(log):
+        built.append((log.owner, len(log)))
+        return real_build(log)
+
+    monkeypatch.setattr(dtree, "build_domains", counting_build)
+    configs = [_cache_config(model, 5, None, 3) for model in ("lda", "dt", "stereo")]
+    run_experiments(configs, collect_trace=False)
+    assert built and len(built) == len(set(built))
+
+
+@pytest.mark.parametrize("theta", (0.4, 0.8))
+@pytest.mark.parametrize("seed", (1, 2, 3))
+def test_overlay_beats_no_overlay_on_thin_histories(theta, seed):
+    # two warmup entries per agent: most trustors cannot train, so answers
+    # come from the overlay or from the risk-averse fallback
+    base = SimConfig(
+        n_agents=400, n_transactions=1200, model="lda", theta=theta, seed=seed, warmup=2
+    )
+    with_overlay = run_experiment(base, collect_trace=False).metrics.overall_falseness
+    alone = replace(base, provider_list_size=0)
+    without = run_experiment(alone, collect_trace=False).metrics.overall_falseness
+    assert with_overlay <= 0.30 and without - with_overlay >= 0.15
 
 
 def _run_digest(result):
