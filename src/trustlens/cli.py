@@ -243,20 +243,19 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
     try:
         with in_path.open(newline="", encoding="utf-8-sig") as fh:  # a leading BOM is dropped
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
                 raise ConfigError(f"{in_path} has no header row")
-            missing = [
-                column
-                for column in [mapping["id"], mapping["counterparty"], mapping["context"], mapping["outcome"]]
-                + feature_columns
-                if column not in reader.fieldnames
-            ]
+            index = {name: i for i, name in enumerate(header)}  # a repeated name: its last column
+            columns = [mapping[key] for key in ("id", "counterparty", "context", "outcome")] + feature_columns
+            missing = [column for column in columns if column not in index]
             if missing:
                 raise ConfigError(
                     f"unmappable schema: column(s) {', '.join(repr(c) for c in missing)} "
                     f"not found in header (row 1)"
                 )
+            i_id, i_counterparty, i_context, i_outcome, *feature_indices = (index[c] for c in columns)
 
             kept_rows: list[list[str]] = []
             dropped = 0
@@ -265,8 +264,12 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             seen_ids: set[str] = set()
             total = 0
             for row in reader:
+                if not row:
+                    continue
                 total += 1
-                outcome_text = (row[mapping["outcome"]] or "").strip().lower()
+                if len(row) < len(header):  # a short row's missing cells read as empty
+                    row += [""] * (len(header) - len(row))
+                outcome_text = row[i_outcome].strip().lower()
                 if outcome_text in _POSITIVE_OUTCOMES:
                     outcome = "1"
                 elif outcome_text in _NEGATIVE_OUTCOMES:
@@ -276,10 +279,9 @@ def cmd_ingest(args: argparse.Namespace) -> int:
                     continue
                 features = []
                 valid = True
-                for column in feature_columns:
-                    cell = (row[column] or "").strip()
+                for i in feature_indices:
                     try:
-                        value = float(cell)
+                        value = float(row[i].strip())
                     except ValueError:
                         valid = False
                         break
@@ -290,19 +292,19 @@ def cmd_ingest(args: argparse.Namespace) -> int:
                 if not valid:
                     dropped += 1
                     continue
-                tid = (row[mapping["id"]] or "").strip()
+                tid = row[i_id].strip()
                 if not tid or tid in seen_ids:
                     dropped += 1
                     continue
                 seen_ids.add(tid)
-                context = (row[mapping["context"]] or "").strip()
-                counterparty = (row[mapping["counterparty"]] or "").strip()
+                context = row[i_context].strip()
+                counterparty = row[i_counterparty].strip()
                 key = "successful" if outcome == "1" else "unsuccessful"
                 outcome_counts[key] += 1
                 context_counts[context] = context_counts.get(context, 0) + 1
                 kept_rows.append([tid, counterparty, context, outcome] + features)
-    except csv.Error as exc:  # e.g. an oversized field; DictReader's own line_num lags
-        raise ConfigError(f"{in_path} line {reader.reader.line_num}: unreadable CSV: {exc}") from None
+    except csv.Error as exc:  # e.g. an oversized field
+        raise ConfigError(f"{in_path} line {reader.line_num}: unreadable CSV: {exc}") from None
 
     with Path(args.out).open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

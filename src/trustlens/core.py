@@ -42,8 +42,8 @@ class Transaction:
     outcome: Outcome | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "features", tuple(float(x) for x in self.features))
-        if not all(math.isfinite(x) for x in self.features):
+        object.__setattr__(self, "features", tuple(map(float, self.features)))
+        if not all(map(math.isfinite, self.features)):
             raise ValueError(f"transaction {self.id!r} has non-finite feature values")
 
 
@@ -53,7 +53,9 @@ class TransactionLog:
 
     Every entry shares the log's dimensionality, has a resolved outcome, and
     a unique id. Mutation is single-writer: only the owning agent appends.
-    What is derived from the entries is kept until the next ``append``.
+    ``entries`` grows only through ``append``, which keeps the class counts
+    and the set of contexts current; what else is derived from the entries
+    is kept until the next ``append``.
     """
 
     owner: str
@@ -68,6 +70,8 @@ class TransactionLog:
             self._validate_entry(t, ids)
             ids.add(t.id)
         self._ids = ids
+        self._n_successful = sum(1 for t in self.entries if t.outcome is Outcome.SUCCESSFUL)
+        self._contexts = {t.context for t in self.entries}
         self._derived: dict = {}  # key -> value computed from the current entries
         self._raised: dict = {}  # key -> the TrustlensError its computation raised
 
@@ -85,6 +89,8 @@ class TransactionLog:
         self._validate_entry(t, self._ids)
         self.entries.append(t)
         self._ids.add(t.id)
+        self._n_successful += t.outcome is Outcome.SUCCESSFUL
+        self._contexts.add(t.context)
         self._derived.clear()
         self._raised.clear()
 
@@ -103,8 +109,11 @@ class TransactionLog:
         return found
 
     def context_view(self, context: str) -> TransactionLog:
-        """``filter_by_context(self, context)``, made once per log state and
-        shared: its readers must not append to it."""
+        """The entries in ``context``: the log itself when it holds no other
+        context, else ``filter_by_context(self, context)``, made once per log
+        state. Its readers must not append to it."""
+        if self._contexts <= {context}:
+            return self
         return self.derived(("context", context), lambda log: filter_by_context(log, context))
 
     def __len__(self) -> int:
@@ -112,8 +121,7 @@ class TransactionLog:
 
     def class_counts(self) -> tuple[int, int]:
         """(successful, unsuccessful) entry counts."""
-        n_s = sum(1 for t in self.entries if t.outcome is Outcome.SUCCESSFUL)
-        return n_s, len(self.entries) - n_s
+        return self._n_successful, len(self.entries) - self._n_successful
 
 
 @dataclass(frozen=True)

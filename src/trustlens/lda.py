@@ -10,7 +10,7 @@ are well defined on either side of the centroids.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -41,13 +41,20 @@ class LdaModel:
     """Trained discriminant: unit projection direction plus group centroids.
 
     ``regularization_used`` is the ridge actually added to the within-class
-    scatter (0 when it was well conditioned).
+    scatter (0 when it was well conditioned). Each centroid is projected on
+    the direction once, here.
     """
 
     direction: np.ndarray
     centroid_successful: np.ndarray
     centroid_unsuccessful: np.ndarray
     regularization_used: float
+    projected_successful: float = field(init=False)
+    projected_unsuccessful: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "projected_successful", float(self.direction @ self.centroid_successful))
+        object.__setattr__(self, "projected_unsuccessful", float(self.direction @ self.centroid_unsuccessful))
 
 
 def _group_matrix(group: Iterable) -> np.ndarray:
@@ -161,17 +168,8 @@ def _canonical_sign(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def decide(
-    direction: np.ndarray,
-    centroid_s: np.ndarray,
-    centroid_u: np.ndarray,
-    p: Sequence[float] | np.ndarray,
-) -> tuple[float, float, Outcome]:
-    """Distance of a projected point to each projected centroid, plus label.
-
-    Successful only when the point is strictly closer to the successful
-    centroid; exact ties classify unsuccessful (risk-averse screening).
-    """
+def candidate_point(p: Sequence[float] | np.ndarray, direction: np.ndarray) -> np.ndarray:
+    """A candidate as a float vector of the direction's shape, all finite."""
     point = np.asarray(p, dtype=float)
     if point.shape != direction.shape:
         raise DimensionMismatch(
@@ -179,15 +177,28 @@ def decide(
         )
     if not np.all(np.isfinite(point)):
         raise ValueError("candidate features must be finite")
-    proj = float(direction @ point)
-    dist_s = abs(proj - float(direction @ centroid_s))
-    dist_u = abs(proj - float(direction @ centroid_u))
+    return point
+
+
+def decide(proj: float, proj_s: float, proj_u: float) -> tuple[float, float, Outcome]:
+    """Distance of a projected point to each projected centroid, plus label.
+
+    Successful only when the point is strictly closer to the successful
+    centroid; exact ties classify unsuccessful (risk-averse screening).
+    """
+    dist_s = abs(proj - proj_s)
+    dist_u = abs(proj - proj_u)
     label = Outcome.SUCCESSFUL if dist_u > dist_s else Outcome.UNSUCCESSFUL
     return dist_s, dist_u, label
 
 
 def classify(model: LdaModel, p: Sequence[float] | np.ndarray) -> tuple[float, float, Outcome]:
-    return decide(model.direction, model.centroid_successful, model.centroid_unsuccessful, p)
+    return classify_point(model, candidate_point(p, model.direction))
+
+
+def classify_point(model: LdaModel, point: np.ndarray) -> tuple[float, float, Outcome]:
+    """``classify`` of a point that ``candidate_point`` has already checked."""
+    return decide(float(model.direction @ point), model.projected_successful, model.projected_unsuccessful)
 
 
 def confidence_lda(dist_s: float, dist_u: float) -> float:

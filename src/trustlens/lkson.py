@@ -113,7 +113,9 @@ def classify_with_combined(
     Same decision rule and confidence as a locally trained discriminant,
     applied to the combined direction and centroids.
     """
-    dist_s, dist_u, label = lda.decide(*combined, p)
+    direction, centroid_s, centroid_u = combined
+    proj = float(direction @ lda.candidate_point(p, direction))
+    dist_s, dist_u, label = lda.decide(proj, float(direction @ centroid_s), float(direction @ centroid_u))
     return Prediction(label, lda.confidence_lda(dist_s, dist_u), "Combined")
 
 
@@ -215,8 +217,9 @@ def post_transaction_update(
         k = max(1, len(providers) // EVALUATED_FRACTION_DENOM)
         indices = sorted(rng.choice(len(providers), size=k, replace=False).tolist())
         evaluated = [providers[i] for i in indices]
+    point = lda.candidate_point(p, evaluated[0].model.direction)  # the tuples share one shape
     for knowledge in evaluated:
-        _, _, predicted = lda.classify(knowledge.model, p)
+        _, _, predicted = lda.classify_point(knowledge.model, point)
         graph.record_result(requester, knowledge.provider, correct=(predicted is outcome))
 
 

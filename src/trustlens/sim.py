@@ -174,8 +174,10 @@ def _agent_name(index: int) -> str:
 
 
 class _SimState:
-    """One environment, shared by every model run over it: logs, feedback
-    and the population's context index."""
+    """One environment, shared by every model run over it: logs, feedback,
+    the population's context index and the ready set, the agents whose log
+    holds ``min_class_count`` entries of each class (counts only grow, so an
+    agent never leaves it)."""
 
     def __init__(self, config: SimConfig, misbehave_prob: np.ndarray):
         self.config = config
@@ -185,17 +187,20 @@ class _SimState:
             for i in range(config.n_agents)
         ]
         self._log_of = {log.owner: log for log in self.logs}
+        self.ready: set[str] = set()
         self.feedback = baselines.FeedbackStore()
         self.contexts = lkson.ContextIndex(
             {_agent_name(i): (SIM_CONTEXT,) for i in range(config.n_agents)}
         )
 
     def _supply_tuples(self, providers: Sequence[str], context: str) -> list[lkson.KnowledgeTuple]:
-        # a provider's tuple (None: it cannot train) is made once per log state
-        # and shares its LDA model with the owner's local assessment
-        mcc = self.config.min_class_count
+        # a provider outside the ready set cannot train (its whole log's class
+        # counts bound its in-context ones); a ready one's tuple (None: it
+        # cannot train) is made once per log state and shares its LDA model
+        # with the owner's local assessment
+        mcc, ready, log_of = self.config.min_class_count, self.ready, self._log_of
         found = derived_each(
-            map(self._log_of.__getitem__, providers),
+            [log_of[p] for p in providers if p in ready],
             ("tuple", context, mcc),
             lambda log: _knowledge(log, context, mcc),
         )
@@ -205,7 +210,10 @@ class _SimState:
                actual: Outcome, lie_draw: float) -> None:
         provider_name = _agent_name(provider)
         entry = Transaction(tid, provider_name, SIM_CONTEXT, tuple(features), actual)
-        self.logs[trustor].append(entry)
+        log = self.logs[trustor]
+        log.append(entry)
+        if min(log.class_counts()) >= self.config.min_class_count:
+            self.ready.add(log.owner)
         # the trustor shares a rating, inverted when it lies this time
         rating = actual
         if lie_draw < self.misbehave_prob[trustor]:
@@ -219,10 +227,6 @@ class _SimState:
 
 def _knowledge(log: TransactionLog, context: str, min_class_count: int) -> lkson.KnowledgeTuple | None:
     """A provider's tuple for its current log, or None while it cannot train."""
-    # the whole log's class counts bound its in-context ones: below the
-    # threshold lda.train would only raise InsufficientKnowledge
-    if min(log.class_counts()) < min_class_count:
-        return None
     try:
         model = lda.log_model(log.context_view(context), min_class_count)
         return lkson.share_knowledge(log.owner, model, context)

@@ -411,37 +411,30 @@ def test_criterion_06_stability_claim():
     pms = [round(0.1 * k, 1) for k in range(1, 10)]
     seeds = 5
     lda_means = []
+    feedback = {}
     for p_m in pms:
-        values = []
+        # feedback shares lda's environments at the p_m values it is read at
+        models = ("lda", "feedback") if p_m in (0.2, 0.8) else ("lda",)
+        values = {model: [] for model in models}
         for rep in range(seeds):
-            config = sim.SimConfig(
-                n_agents=1000,
-                n_transactions=5000,
-                model="lda",
-                theta=0.8,
-                p_malicious=p_m,
-                seed=sim.cell_seed(606, p_m, rep),
-            )
-            result = _track(sim.run_experiment(config, collect_trace=False))
-            values.append(result.metrics.overall_falseness)
-        lda_means.append(float(np.mean(values)))
+            configs = [
+                sim.SimConfig(
+                    n_agents=1000,
+                    n_transactions=5000,
+                    model=model,
+                    theta=0.8,
+                    p_malicious=p_m,
+                    seed=sim.cell_seed(606, p_m, rep),
+                )
+                for model in models
+            ]
+            for model, result in zip(models, sim.run_experiments(configs, collect_trace=False)):
+                values[model].append(_track(result).metrics.overall_falseness)
+        lda_means.append(float(np.mean(values["lda"])))
+        if "feedback" in values:
+            feedback[p_m] = float(np.mean(values["feedback"]))
     spread = max(lda_means) - min(lda_means)
 
-    feedback = {}
-    for p_m in (0.2, 0.8):
-        values = []
-        for rep in range(seeds):
-            config = sim.SimConfig(
-                n_agents=1000,
-                n_transactions=5000,
-                model="feedback",
-                theta=0.8,
-                p_malicious=p_m,
-                seed=sim.cell_seed(606, p_m, rep),
-            )
-            result = _track(sim.run_experiment(config, collect_trace=False))
-            values.append(result.metrics.overall_falseness)
-        feedback[p_m] = float(np.mean(values))
     degradation = feedback[0.8] - feedback[0.2]
     elapsed = time.perf_counter() - start
     ok = spread < 0.1 and degradation > 0.1 and elapsed < 300.0
@@ -461,17 +454,12 @@ def test_criterion_07_ordering_claim():
         lda_values, dt_values, wins = [], [], 0
         for rep in range(10):
             seed = sim.cell_seed(707, 0.5, rep)
-            lda_result = _track(
-                sim.run_experiment(
-                    sim.SimConfig(1000, 5000, "lda", theta=theta, seed=seed),
+            lda_result, dt_result = map(
+                _track,
+                sim.run_experiments(
+                    [sim.SimConfig(1000, 5000, model, theta=theta, seed=seed) for model in ("lda", "dt")],
                     collect_trace=False,
-                )
-            )
-            dt_result = _track(
-                sim.run_experiment(
-                    sim.SimConfig(1000, 5000, "dt", theta=theta, seed=seed),
-                    collect_trace=False,
-                )
+                ),
             )
             lda_values.append(lda_result.metrics.overall_falseness)
             dt_values.append(dt_result.metrics.overall_falseness)

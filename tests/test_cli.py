@@ -2,8 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
+import csv
+import io
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trustlens import cli, sim
 from trustlens.cli import main
@@ -440,3 +447,77 @@ def test_ingest_oversized_field_is_one_line_error(tmp_path, capsys, text, where)
     assert "Traceback" not in err
     assert f"{src} {where}:" in err and "field larger than field limit" in err
     assert not (tmp_path / "o.csv").exists()
+
+
+_INGEST_NAMES = ["tid", "seller", "cat", "fb", "price", "sold"]
+_INGEST_MAP = "id=tid,counterparty=seller,context=cat,outcome=fb,features=price,features=sold"
+_INGEST_CELLS = ["t1", "t2", " t3 ", "", "s,1", 'q"x', "1", "0", "positive", "No", "maybe",
+                 "2.5", " -3 ", "nan", "inf", "1e400", "abc"]
+
+
+def _dictreader_ingest(text):
+    """The ingest loop as written over ``csv.DictReader``: kept rows and
+    (rows read, rows dropped)."""
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    kept, seen, total, dropped = [], set(), 0, 0
+    for row in reader:
+        total += 1
+        outcome_text = (row["fb"] or "").strip().lower()
+        if outcome_text in cli._POSITIVE_OUTCOMES:
+            outcome = "1"
+        elif outcome_text in cli._NEGATIVE_OUTCOMES:
+            outcome = "0"
+        else:
+            dropped += 1
+            continue
+        features = []
+        for column in ("price", "sold"):
+            try:
+                value = float((row[column] or "").strip())
+            except ValueError:
+                break
+            if not math.isfinite(value):
+                break
+            features.append(repr(value))
+        tid = (row["tid"] or "").strip()
+        if len(features) < 2 or not tid or tid in seen:
+            dropped += 1
+            continue
+        seen.add(tid)
+        kept.append([tid, (row["seller"] or "").strip(), (row["cat"] or "").strip(), outcome] + features)
+    return kept, total, dropped
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.sampled_from(_INGEST_NAMES + ["other"]), max_size=4).flatmap(
+        lambda extra: st.permutations(_INGEST_NAMES + extra)
+    ),
+    st.lists(st.lists(st.sampled_from(_INGEST_CELLS), max_size=10), max_size=25),
+)
+def test_ingest_equals_dictreader_reference(tmp_path_factory, header, rows):
+    # rows may be blank, short or long, and header names may repeat
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    text = buffer.getvalue()
+    kept, total, dropped = _dictreader_ingest(text)
+
+    tmp = tmp_path_factory.mktemp("ingest")
+    src, out = tmp / "in.csv", tmp / "out.csv"
+    src.write_text(text, newline="")
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(["ingest", "--in", str(src), "--out", str(out), "--map", _INGEST_MAP]) == 0
+    expected = io.StringIO()
+    csv.writer(expected, lineterminator="\n").writerows(
+        [["id", "counterparty", "context", "outcome", "f1", "f2"]] + kept
+    )
+    assert out.read_text() == expected.getvalue()
+    lines = stdout.getvalue().splitlines()
+    assert lines[:3] == [
+        f"rows read:    {total}",
+        f"rows kept:    {len(kept)}",
+        f"rows dropped: {dropped} (unparseable outcome, non-finite/missing features, or bad id)",
+    ]

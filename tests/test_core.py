@@ -166,6 +166,49 @@ def test_context_view_is_shared_until_append():
     assert grown is not view and len(grown) == len(view) + 1 == 4
 
 
+def _recount(log):
+    n_s = sum(1 for t in log.entries if t.outcome is Outcome.SUCCESSFUL)
+    return n_s, len(log.entries) - n_s
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(st.booleans(), st.sampled_from(["a", "b"])), max_size=8),
+    st.lists(st.tuples(st.booleans(), st.sampled_from(["a", "b"]), st.booleans()), max_size=20),
+)
+def test_running_class_counts_equal_a_recount(initial, steps):
+    def entry(i, ok, context):
+        outcome = Outcome.SUCCESSFUL if ok else Outcome.UNSUCCESSFUL
+        return Transaction(f"t{i}", "p", context, (float(i),), outcome)
+
+    log = TransactionLog("me", 1, entries=[entry(i, ok, c) for i, (ok, c) in enumerate(initial)])
+    assert log.class_counts() == _recount(log)
+    for i, (ok, context, read) in enumerate(steps, start=len(initial)):
+        log.append(entry(i, ok, context))
+        if read:
+            assert log.class_counts() == _recount(log)
+    assert log.class_counts() == _recount(log)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.sampled_from(["a", "b"]), max_size=6),
+    st.lists(st.sampled_from(["a", "b"]), max_size=6),
+    st.sampled_from(["a", "b", "absent"]),
+)
+def test_context_view_is_the_log_exactly_when_every_entry_is_in_context(initial, appended, context):
+    def entry(i, ctx):
+        return Transaction(f"t{i}", "p", ctx, (float(i),), Outcome.SUCCESSFUL)
+
+    log = TransactionLog("me", 1, entries=[entry(i, c) for i, c in enumerate(initial)])
+    for i, ctx in enumerate(appended, start=len(initial)):
+        log.append(entry(i, ctx))
+    view = log.context_view(context)
+    assert (view is log) == all(t.context == context for t in log.entries)
+    assert view.entries == filter_by_context(log, context).entries
+    assert (view.owner, view.dimensionality) == (log.owner, log.dimensionality)
+
+
 def test_filter_by_context_matches():
     log = TransactionLog("me", 1)
     for i, ctx in enumerate(["book", "book", "camera"]):

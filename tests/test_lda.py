@@ -154,6 +154,26 @@ def test_classify_scalar_arithmetic():
     assert dist_s == 0.5 and dist_u == 1.5 and label is Outcome.SUCCESSFUL
 
 
+@given(
+    st.lists(st.floats(-5.0, 5.0), min_size=8, max_size=8),
+    st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=2),
+)
+def test_classify_equals_projecting_centroids_per_call(values, p):
+    log = make_log([values[0:2], values[2:4], values[4:6]], [values[6:8], [9.0, 9.0], [8.0, 9.5]])
+    try:
+        model = train(log)
+    except DegenerateClasses:
+        return
+    assert model.projected_successful == float(model.direction @ model.centroid_successful)
+    assert model.projected_unsuccessful == float(model.direction @ model.centroid_unsuccessful)
+    proj = float(model.direction @ np.asarray(p))
+    dist_s = abs(proj - float(model.direction @ model.centroid_successful))
+    dist_u = abs(proj - float(model.direction @ model.centroid_unsuccessful))
+    label = Outcome.SUCCESSFUL if dist_u > dist_s else Outcome.UNSUCCESSFUL
+    assert classify(model, p) == (dist_s, dist_u, label)
+    assert lda.classify_point(model, lda.candidate_point(p, model.direction)) == (dist_s, dist_u, label)
+
+
 def test_classify_dimension_mismatch():
     log = make_log([[0.0, 0.0]] * 3, [[1.0, 1.0]] * 3)
     model = train(log)

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from trustlens import lkson, sim
@@ -192,6 +192,49 @@ def test_wrong_provider_prediction_lowers_trust():
     before = graph.trust("me", "liar")
     post_transaction_update(graph, "me", [knowledge], U, [0.1, 0.0], rng)
     assert graph.trust("me", "liar") < before
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.floats(-3.0, 3.0, allow_subnormal=False), min_size=6, max_size=6),
+        min_size=1,
+        max_size=12,
+    ),
+    st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2),
+    st.sampled_from([S, U]),
+    st.integers(0, 2**32 - 1),
+)
+def test_trust_update_labels_equal_classify(rows, p, outcome, seed):
+    tuples = [
+        simple_tuple(f"p{i}", row[:2], row[2:4], row[4:]) for i, row in enumerate(rows)
+        if np.linalg.norm(row[:2]) > 0.0
+    ]
+    assume(tuples)
+    graph = OverlayGraph()
+    post_transaction_update(graph, "me", tuples, outcome, p, np.random.default_rng(seed))
+    touched = 0
+    for knowledge in tuples:
+        edge = graph.edge("me", knowledge.provider)
+        if edge.successes + edge.failures:
+            touched += 1
+            assert edge.successes == (classify(knowledge.model, p)[2] is outcome)
+    assert touched == (len(tuples) if outcome is U else max(1, len(tuples) // 5))
+
+
+@pytest.mark.parametrize("outcome", [S, U])
+@pytest.mark.parametrize(
+    ("p", "error"),
+    [([0.1], DimensionMismatch), ([0.1, 0.0, 0.0], DimensionMismatch), ([0.1, float("nan")], ValueError)],
+)
+def test_post_transaction_update_rejects_bad_candidates(outcome, p, error):
+    graph = OverlayGraph()
+    tuples = [simple_tuple(f"p{i}") for i in range(5)]
+    with pytest.raises(error):
+        post_transaction_update(graph, "me", tuples, outcome, p, np.random.default_rng(0))
+    for knowledge in tuples:
+        edge = graph.edge("me", knowledge.provider)
+        assert edge.successes + edge.failures == 0
 
 
 def test_bootstrap_prefers_familiar_and_sizes():

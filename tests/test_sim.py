@@ -295,6 +295,27 @@ def test_joint_run_builds_domains_once_per_log_state(monkeypatch):
     assert built and len(built) == len(set(built))
 
 
+@pytest.mark.parametrize("min_class_count", (1, 3))
+@pytest.mark.parametrize("warmup", (0, 2))
+def test_ready_set_equals_a_scan_of_all_logs(monkeypatch, warmup, min_class_count):
+    real_record, checked = sim._SimState.record, []
+
+    def checked_record(state, *args):
+        real_record(state, *args)
+        scan = set()
+        for log in state.logs:
+            n_s = sum(1 for t in log.entries if t.outcome is S)
+            if min(n_s, len(log.entries) - n_s) >= min_class_count:
+                scan.add(log.owner)
+        assert state.ready == scan
+        checked.append(len(scan))
+
+    monkeypatch.setattr(sim._SimState, "record", checked_record)
+    run_experiment(_cache_config("lda", warmup, None, min_class_count), collect_trace=False)
+    assert len(checked) == 30 * warmup + 300
+    assert checked[0] == 0 < checked[-1]  # the set starts empty and grows
+
+
 @pytest.mark.parametrize("theta", (0.4, 0.8))
 @pytest.mark.parametrize("seed", (1, 2, 3))
 def test_overlay_beats_no_overlay_on_thin_histories(theta, seed):
