@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import accumulate
 from typing import Iterable, Mapping, Sequence, Union
 
 from .core import Outcome, Transaction, TransactionLog
@@ -162,7 +163,7 @@ def discretize(
     exactly the current gain, so it can never win and is dropped.
     """
     entries = _entries(log)
-    by_value: dict[float, list[int]] = {}
+    by_value: dict[float, list[int]] = {}  # value -> [successful, unsuccessful] entries
     for t in entries:
         pair = by_value.setdefault(t.features[feature], [0, 0])
         pair[0 if t.outcome is Outcome.SUCCESSFUL else 1] += 1
@@ -170,16 +171,14 @@ def discretize(
         raise ConstantFeature(f"feature {feature} takes a single value")
 
     values = sorted(by_value)
-    prefix = [(0, 0)]  # prefix[i]: class counts of the i smallest distinct values
-    for v in values:
-        n_s, n_u = prefix[-1]
-        prefix.append((n_s + by_value[v][0], n_u + by_value[v][1]))
-    parent = prefix[-1]
     n = len(values)
+    counts = [by_value[v] for v in values]
+    # prefix_s[i], prefix_u[i]: class counts of the i smallest distinct values
+    prefix_s = list(accumulate([c[0] for c in counts], initial=0))
+    prefix_u = list(accumulate([c[1] for c in counts], initial=0))
 
     candidates: list[tuple[float, int]] = []  # (threshold, cut), ascending
-    for lo, hi in zip(values, values[1:]):
-        (s_lo, u_lo), (s_hi, u_hi) = by_value[lo], by_value[hi]
+    for lo, hi, (s_lo, u_lo), (s_hi, u_hi) in zip(values, values[1:], counts, counts[1:]):
         if (u_lo == u_hi == 0) or (s_lo == s_hi == 0):
             continue  # pure and identical on both sides: no boundary here
         midpoint = (lo + hi) / 2.0
@@ -189,12 +188,17 @@ def discretize(
             continue  # adjacent floats: the same threshold twice
         candidates.append((midpoint, bisect_right(values, midpoint)))
 
-    h = entropy(parent)
-    total = parent[0] + parent[1]
+    total = prefix_s[n] + prefix_u[n]
+    h = entropy((prefix_s[n], prefix_u[n]))
+    log2 = math.log2
 
     def term(a: int, b: int) -> float:  # the _split_gain term of values[a:b], a < b
-        n_s, n_u = prefix[b][0] - prefix[a][0], prefix[b][1] - prefix[a][1]
-        return ((n_s + n_u) / total) * entropy((n_s, n_u))
+        n_s, n_u = prefix_s[b] - prefix_s[a], prefix_u[b] - prefix_u[a]
+        if not (n_s and n_u):
+            return 0.0  # a pure interval: entropy 0
+        # entropy((n_s, n_u)) inlined: 0.0 - x - y is -x - y, as x = p * log2(p) != 0
+        p, q = n_s / (n_s + n_u), n_u / (n_s + n_u)
+        return ((n_s + n_u) / total) * (-p * log2(p) - q * log2(q))
 
     terms = [term(0, n)]  # one per interval between chosen cuts, ascending
     # per interval, its candidates in ascending order: (threshold, cut, left term, right term)
@@ -264,49 +268,68 @@ def build_tree(
     Each entry is bucketed once per tree feature; a node scores each split
     from those buckets through ``_split_gain``, as ``information_gain`` would.
     """
+    rows, features, columns, domains = _tree_rows(log, features, domains)
+    return DecisionTree(root=_grow(rows, features, columns), domains=dict(domains))
+
+
+def classify_path(
+    log: TransactionLog | Sequence[Transaction], domains: FeatureDomains, p: Sequence[float]
+) -> tuple[Outcome, list[InternalNode]]:
+    """``classify_dt(build_tree(log, domains.keys(), domains), p)``, growing only p's branch:
+    each node splits just the rows in p's bucket of its parent, by ``_grow``'s rule, so
+    the label and the path's nodes are the whole tree's, but with empty ``branches``."""
+    rows, features, columns, _ = _tree_rows(log, domains.keys(), domains)
+    point = _candidate(p)
+    path: list[InternalNode] = []
+    node, empty = _split(rows, features, columns)
+    while empty is not None:
+        bucket = _candidate_bucket(domains, node.feature, point)
+        path.append(node)
+        rows = [row for row in rows if row[0][columns[node.feature][0]] == bucket]
+        features = features - {node.feature}
+        node, empty = _split(rows, features, columns) if rows else (empty, None)
+    return node.label, path
+
+
+_Row = tuple[tuple[int, ...], int]  # (bucket per tree feature, 0 successful / 1 unsuccessful)
+_Columns = Mapping[int, tuple[int, int]]  # feature -> (its column in a row, its bucket count)
+
+
+def _tree_rows(
+    log: TransactionLog | Sequence[Transaction], features: Iterable[int] | None, domains: FeatureDomains | None
+) -> tuple[list[_Row], frozenset[int], _Columns, FeatureDomains]:
+    """``build_tree``'s checks and defaults; then each entry as a ``_Row``, the tree's
+    features, their ``_Columns`` in ascending order, and the domains."""
     entries = _entries(log)
     if not entries:
         raise EmptySet("cannot build a tree from an empty log")
     if domains is None:
         domains = build_domains(entries)
-    if features is None:
-        features = domains.keys()
-    feature_set = frozenset(features)
-    missing = [f for f in feature_set if f not in domains]
+    features = frozenset(domains.keys() if features is None else features)
+    missing = [f for f in features if f not in domains]
     if missing:
         raise ValueError(f"no domain supplied for features {sorted(missing)}")
-    order = sorted(feature_set)
-    # feature -> (column of its bucket in a row, bucket count)
-    columns = {f: (i, len(domains[f].buckets())) for i, f in enumerate(order)}
-    rows = [
-        (
-            tuple(domains[f].bucket_of(t.features[f]) for f in order),
-            0 if t.outcome is Outcome.SUCCESSFUL else 1,
-        )
+    order = sorted(features)
+    bucketers = [(f, domains[f].bucket_of) for f in order]
+    rows: list[_Row] = [
+        (tuple([bucket(t.features[f]) for f, bucket in bucketers]), 0 if t.outcome is Outcome.SUCCESSFUL else 1)
         for t in entries
     ]
-    root = _grow(rows, feature_set, columns)
-    return DecisionTree(root=root, domains=dict(domains))
+    columns: _Columns = {f: (i, len(domains[f].buckets())) for i, f in enumerate(order)}
+    return rows, features, columns, domains
 
 
-def _majority(n_s: int, n_u: int) -> Outcome:
-    return Outcome.SUCCESSFUL if n_s > n_u else Outcome.UNSUCCESSFUL
+def _split(rows: list[_Row], features: frozenset[int], columns: _Columns) -> tuple[TreeNode, LeafNode | None]:
+    """The ID3 rule at one node, shared by ``build_tree`` and ``classify_path``.
 
-
-_Row = tuple[tuple[int, ...], int]  # (bucket per tree feature, 0 successful / 1 unsuccessful)
-
-
-def _grow(
-    rows: list[_Row], features: frozenset[int], columns: Mapping[int, tuple[int, int]]
-) -> TreeNode:
+    Returns the leaf that ``rows`` end in and None, or the node that splits
+    them, with no branches yet, and the majority leaf an empty branch gets.
+    """
     n_u = sum(u for _, u in rows)
     n_s = len(rows) - n_u
-    if n_u == 0:
-        return LeafNode(Outcome.SUCCESSFUL, len(rows))
-    if n_s == 0:
-        return LeafNode(Outcome.UNSUCCESSFUL, len(rows))
-    if not features:
-        return LeafNode(_majority(n_s, n_u), len(rows))
+    majority = Outcome.SUCCESSFUL if n_s > n_u else Outcome.UNSUCCESSFUL  # ties go unsuccessful
+    if n_u == 0 or n_s == 0 or not features:
+        return LeafNode(majority, len(rows)), None
 
     gains = {}
     for f in features:
@@ -318,44 +341,44 @@ def _grow(
     best = min(features, key=lambda f: (-gains[f], f))
     parent_entropy = entropy((n_s, n_u))
     reduction = gains[best] / parent_entropy if parent_entropy > 0.0 else 1.0
-    majority = _majority(n_s, n_u)
+    return InternalNode(best, parent_entropy, gains[best], reduction, len(rows), ()), LeafNode(majority, 0)
 
-    remaining = features - {best}
-    column, width = columns[best]
+
+def _grow(rows: list[_Row], features: frozenset[int], columns: _Columns) -> TreeNode:
+    node, empty = _split(rows, features, columns)
+    if empty is None:
+        return node
+    column, width = columns[node.feature]
     grouped: list[list[_Row]] = [[] for _ in range(width)]
     for row in rows:
         grouped[row[0][column]].append(row)
-
-    branches = tuple(
-        _grow(group, remaining, columns) if group else LeafNode(majority, 0) for group in grouped
-    )
-
-    return InternalNode(
-        feature=best,
-        entropy=parent_entropy,
-        gain=gains[best],
-        reduction=reduction,
-        count=len(rows),
-        branches=branches,
-    )
+    remaining = features - {node.feature}
+    return replace(node, branches=tuple(_grow(g, remaining, columns) if g else empty for g in grouped))
 
 
 def classify_dt(tree: DecisionTree, p: Sequence[float]) -> tuple[Outcome, list[InternalNode]]:
     """Descend from the root by feature value, returning label and the nodes passed."""
-    point = tuple(p)
-    if not all(math.isfinite(float(x)) for x in point):
-        raise ValueError("candidate features must be finite")
+    point = _candidate(p)
     node = tree.root
     path: list[InternalNode] = []
     while isinstance(node, InternalNode):
-        if node.feature >= len(point):
-            raise DimensionMismatch(
-                f"candidate has {len(point)} features, tree tests feature {node.feature}"
-            )
+        bucket = _candidate_bucket(tree.domains, node.feature, point)
         path.append(node)
-        # intervals cover the reals, so every value has a branch
-        node = node.branches[tree.domains[node.feature].bucket_of(point[node.feature])]
+        node = node.branches[bucket]
     return node.label, path
+
+
+def _candidate(p: Sequence[float]) -> tuple[float, ...]:
+    point = tuple(p)
+    if not all(math.isfinite(float(x)) for x in point):
+        raise ValueError("candidate features must be finite")
+    return point
+
+
+def _candidate_bucket(domains: FeatureDomains, feature: int, point: tuple[float, ...]) -> int:
+    if feature >= len(point):
+        raise DimensionMismatch(f"candidate has {len(point)} features, tree tests feature {feature}")
+    return domains[feature].bucket_of(point[feature])  # intervals cover the reals: every value has a branch
 
 
 def confidence_dt(path: Sequence[InternalNode]) -> float:

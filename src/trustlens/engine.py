@@ -120,9 +120,7 @@ def _lda_prediction(
 
 
 def _dt_prediction(sub_log: TransactionLog, features: Sequence[float]) -> Prediction:
-    domains = dtree.log_domains(sub_log)
-    tree = dtree.build_tree(sub_log, domains.keys(), domains)
-    label, path = dtree.classify_dt(tree, features)
+    label, path = dtree.classify_path(sub_log, dtree.log_domains(sub_log), features)
     return Prediction(label, dtree.confidence_dt(path), "DT")
 
 

@@ -10,12 +10,13 @@ are well defined on either side of the centroids.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import Outcome, TransactionLog, partition
+from .core import Outcome, TransactionLog
 from .errors import DegenerateClasses, DimensionMismatch, EmptySet, InsufficientKnowledge
 
 # Condition-number gate above which the within-class scatter is ridged.
@@ -28,12 +29,13 @@ DEFAULT_MIN_CLASS_COUNT = 3
 
 @dataclass(frozen=True, eq=False)
 class ScatterSet:
-    """Within/between scatter matrices and the centroids behind them."""
+    """Within/between scatter matrices and the centroids behind them
+    (``between`` is None where nothing reads it: ``train``)."""
 
     within: np.ndarray
-    between: np.ndarray
     centroid_successful: np.ndarray
     centroid_unsuccessful: np.ndarray
+    between: np.ndarray | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,21 +59,30 @@ class LdaModel:
         object.__setattr__(self, "projected_unsuccessful", float(self.direction @ self.centroid_unsuccessful))
 
 
-def _group_matrix(group: Iterable) -> np.ndarray:
-    """Stack a group of transactions (or raw vectors) into an n x d matrix.
-
-    Rows are sorted lexicographically so every downstream reduction is
-    independent of log entry order (bit-identical models under permutation).
-    """
-    rows = [getattr(item, "features", item) for item in group]
-    if not rows:
+def _lexsorted(m: np.ndarray) -> np.ndarray:
+    """A group's n x d matrix with its rows in lexicographic order, so every downstream
+    reduction is independent of log entry order (bit-identical models under permutation)."""
+    if not len(m):
         raise EmptySet("group has no members")
-    m = np.asarray(rows, dtype=float)
-    if m.ndim == 1:
-        m = m.reshape(-1, 1)
-    if m.shape[0] > 1:
-        m = m[np.lexsort(m.T[::-1])]
-    return m
+    return m[np.lexsort(m.T[::-1])] if m.shape[0] > 1 else m
+
+
+def _group_matrix(group: Iterable) -> np.ndarray:
+    """Stack a group of transactions (or raw vectors) into a lexsorted n x d matrix."""
+    m = np.asarray([getattr(item, "features", item) for item in group], dtype=float)
+    return _lexsorted(m.reshape(-1, 1) if m.ndim == 1 else m)
+
+
+def _within(ms: np.ndarray, mu: np.ndarray) -> ScatterSet:
+    """Within-class scatter and the two centroids of two lexsorted groups, without ``between``."""
+    n_s, n_u = ms.shape[0], mu.shape[0]
+    c_s = np.add.reduce(ms, axis=0) / n_s  # what ms.mean(axis=0) computes
+    c_u = np.add.reduce(mu, axis=0) / n_u
+    centered_s = ms - c_s
+    centered_u = mu - c_u
+    within_s = centered_s.T @ centered_s / n_s
+    within_u = centered_u.T @ centered_u / n_u
+    return ScatterSet((n_s * within_s + n_u * within_u) / (n_s + n_u), c_s, c_u)
 
 
 def scatter(group_s: Iterable, group_u: Iterable) -> ScatterSet:
@@ -88,28 +99,14 @@ def scatter(group_s: Iterable, group_u: Iterable) -> ScatterSet:
         raise DimensionMismatch(
             f"groups disagree on dimensionality: {ms.shape[1]} vs {mu.shape[1]}"
         )
+    scatter_set = _within(ms, mu)
     n_s, n_u = ms.shape[0], mu.shape[0]
     n = n_s + n_u
-    c_s = ms.mean(axis=0)
-    c_u = mu.mean(axis=0)
+    c_s, c_u = scatter_set.centroid_successful, scatter_set.centroid_unsuccessful
     c = (n_s * c_s + n_u * c_u) / n
-
-    centered_s = ms - c_s
-    centered_u = mu - c_u
-    within_s = centered_s.T @ centered_s / n_s
-    within_u = centered_u.T @ centered_u / n_u
-    within = (n_s * within_s + n_u * within_u) / n
-
     off_s = c_s - c
     off_u = c_u - c
-    between = (n_s * np.outer(off_s, off_s) + n_u * np.outer(off_u, off_u)) / n
-
-    return ScatterSet(
-        within=within,
-        between=between,
-        centroid_successful=c_s,
-        centroid_unsuccessful=c_u,
-    )
+    return replace(scatter_set, between=(n_s * np.outer(off_s, off_s) + n_u * np.outer(off_u, off_u)) / n)
 
 
 def projection_direction(scatter_set: ScatterSet, regularization: float | None = None) -> LdaModel:
@@ -123,19 +120,18 @@ def projection_direction(scatter_set: ScatterSet, regularization: float | None =
     positive, so repeated training is deterministic and shared directions
     combine without sign cancellation.
     """
-    c_s = scatter_set.centroid_successful
-    c_u = scatter_set.centroid_unsuccessful
+    within, c_s, c_u = scatter_set.within, scatter_set.centroid_successful, scatter_set.centroid_unsuccessful
     diff = c_s - c_u
     if not np.any(diff != 0.0):
         raise DegenerateClasses("group centroids coincide; no direction separates them")
 
-    within = scatter_set.within
     if not np.isfinite(within).all():
         raise DegenerateClasses("within-class scatter overflowed; no finite direction exists")
     d = within.shape[0]
     if regularization is None:
-        cond = np.linalg.cond(within)
-        if not cond <= ILL_CONDITIONED:  # catches inf and nan
+        # the condition number s[0] / s[-1], as np.linalg.cond takes it; a zero s[-1] makes it inf or nan
+        s = np.linalg.svd(within, compute_uv=False).tolist()
+        if not (s[-1] > 0.0 and s[0] / s[-1] <= ILL_CONDITIONED):
             eps = max(RIDGE_SCALE * float(np.trace(within)) / d, RIDGE_FLOOR)
         else:
             eps = 0.0
@@ -223,7 +219,7 @@ def train(
     min_class_count: int = DEFAULT_MIN_CLASS_COUNT,
     regularization: float | None = None,
 ) -> LdaModel:
-    """Full pipeline: partition, scatter, projection direction.
+    """Full pipeline: one lexsorted matrix per class, within scatter, projection direction.
 
     Requires at least ``min_class_count`` entries per class; raises
     DegenerateClasses when the class centroids coincide exactly.
@@ -233,10 +229,13 @@ def train(
         raise InsufficientKnowledge(
             f"need >= {min_class_count} entries per class, have {n_s} successful / {n_u} unsuccessful"
         )
-    group_s, group_u = partition(log)
+    if not log.entries:
+        raise EmptySet(f"log of {log.owner!r} has no entries to partition")
+    m = np.fromiter(chain.from_iterable([t.features for t in log.entries]), float).reshape(-1, log.dimensionality)
+    successful = np.fromiter([t.outcome is Outcome.SUCCESSFUL for t in log.entries], bool)
     # overflow in the scatter or the solve surfaces as DegenerateClasses
     with np.errstate(all="ignore"):
-        return projection_direction(scatter(group_s, group_u), regularization=regularization)
+        return projection_direction(_within(_lexsorted(m[successful]), _lexsorted(m[~successful])), regularization)
 
 
 def log_model(log: TransactionLog, min_class_count: int = DEFAULT_MIN_CLASS_COUNT) -> LdaModel:

@@ -140,12 +140,6 @@ def generate_population(config: SimConfig, rng: np.random.Generator) -> np.ndarr
     return np.where(flags, config.p_misbehave_malicious, config.p_misbehave_good)
 
 
-def sample_features(outcome: Outcome, config: SimConfig, rng: np.random.Generator) -> np.ndarray:
-    """Independent per-feature draws; unsuccessful outcomes shift by theta."""
-    shift = 0.0 if outcome is Outcome.SUCCESSFUL else config.theta
-    return _features(config, shift, rng.standard_normal(config.d))
-
-
 def _features(config: SimConfig, shift: float | np.ndarray, noise: np.ndarray) -> np.ndarray:
     return config.mu + shift + config.sigma * noise
 

@@ -1,9 +1,12 @@
-"""Shared helpers for building small transaction logs in tests."""
+"""Shared helpers for building small transaction logs and simulated features in tests."""
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+import numpy as np
+
+from trustlens import sim
 from trustlens.core import Outcome, Transaction, TransactionLog
 
 
@@ -25,3 +28,10 @@ def make_log(
         log.append(Transaction(f"u{i}", f"p{i}", context, features, Outcome.UNSUCCESSFUL))
         i += 1
     return log
+
+
+def sample_features(outcome: Outcome, config: sim.SimConfig, rng: np.random.Generator) -> np.ndarray:
+    """One transaction's features as the simulator draws them: independent
+    per-feature noise, shifted by theta for unsuccessful outcomes."""
+    shift = 0.0 if outcome is Outcome.SUCCESSFUL else config.theta
+    return sim._features(config, shift, rng.standard_normal(config.d))

@@ -22,7 +22,7 @@ from trustlens import dtree, engine, lda, lkson, sim
 from trustlens.core import Outcome, Transaction, TransactionLog
 from trustlens.errors import ConstantFeature
 
-from conftest import make_log
+from conftest import make_log, sample_features
 
 S = Outcome.SUCCESSFUL
 U = Outcome.UNSUCCESSFUL
@@ -480,12 +480,12 @@ def test_criterion_08_few_shot_threshold():
     errors = evaluated = 0
     sigma_lo, sigma_hi = 1.0, 0.0
     for trustor in range(200):
-        group_s = [sim.sample_features(S, config, rng) for _ in range(3)]
-        group_u = [sim.sample_features(U, config, rng) for _ in range(3)]
+        group_s = [sample_features(S, config, rng) for _ in range(3)]
+        group_u = [sample_features(U, config, rng) for _ in range(3)]
         log = make_log(group_s, group_u, context="c")
         for j in range(10):
             actual = S if rng.random() < 0.5 else U
-            features = tuple(sim.sample_features(actual, config, rng))
+            features = tuple(sample_features(actual, config, rng))
             candidate = Transaction(f"cand{j}", "x", "c", features, None)
             assessment = engine.assess(log, candidate, algorithms=("lda",))
             predicted = assessment.chosen.label
@@ -512,8 +512,8 @@ def test_criterion_09_lkson_bootstrap():
 
     tuples = []
     for i in range(10):
-        group_s = [sim.sample_features(S, config, rng) for _ in range(3)]
-        group_u = [sim.sample_features(U, config, rng) for _ in range(3)]
+        group_s = [sample_features(S, config, rng) for _ in range(3)]
+        group_u = [sample_features(U, config, rng) for _ in range(3)]
         model = lda.train(make_log(group_s, group_u))
         tuples.append(lkson.share_knowledge(f"p{i}", model, "c"))
     combined = lkson.combine(tuples, [0.5] * 10)
@@ -522,7 +522,7 @@ def test_criterion_09_lkson_bootstrap():
     sigma_lo, sigma_hi = 1.0, 0.0
     for _ in range(1000):
         actual = S if rng.random() < 0.5 else U
-        features = sim.sample_features(actual, config, rng)
+        features = sample_features(actual, config, rng)
         prediction = lkson.classify_with_combined(combined, features)
         sigma_lo = min(sigma_lo, prediction.confidence)
         sigma_hi = max(sigma_hi, prediction.confidence)

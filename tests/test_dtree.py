@@ -7,7 +7,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trustlens import dtree
@@ -19,12 +19,13 @@ from trustlens.dtree import (
     build_domains,
     build_tree,
     classify_dt,
+    classify_path,
     confidence_dt,
     discretize,
     entropy,
     information_gain,
 )
-from trustlens.errors import ConstantFeature, EmptySet
+from trustlens.errors import ConstantFeature, DimensionMismatch, EmptySet
 
 S = Outcome.SUCCESSFUL
 U = Outcome.UNSUCCESSFUL
@@ -419,3 +420,58 @@ def test_build_tree_matches_reference_grower(case):
     expected = _reference_grow(list(log.entries), frozenset(features), domains)
     assert _fields(tree.root) == _fields(expected)
     assert tree.domains == domains
+
+
+def _path_fields(label, path):
+    return label, [
+        (node.feature, node.entropy.hex(), node.gain.hex(), node.reduction.hex(), node.count)
+        for node in path
+    ], confidence_dt(path).hex()
+
+
+# 6.0 lands in the empty upper bucket of (5.0,); -1.0 and 3.0 in the outer buckets
+_POINT_VALUES = st.sampled_from([-1.0, 0.0, 0.7, 1.0, 2.0, 3.0, 6.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tree_cases(), st.lists(_POINT_VALUES, min_size=4, max_size=4))
+# a constant column and an exhausted feature set: feature 0 splits with gain 0, then a 1:1 majority tie
+@example((entries_from([((1.0,), S), ((1.0,), U)]), {0}, {0: IntervalDomain((0.5,))}), [1.0] * 4)
+# an empty branch: the candidate falls above every value of the log
+@example((entries_from([((0.0,), S), ((1.0,), U), ((1.0,), S)]), {0}, {0: IntervalDomain((5.0,))}), [6.0] * 4)
+def test_classify_path_matches_the_whole_tree(case, values):
+    log, features, domains = case
+    domains = {f: domains[f] for f in features}
+    point = tuple(values[: log.dimensionality])
+    expected = classify_dt(build_tree(log, domains.keys(), domains), point)
+    assert _path_fields(*classify_path(log, domains, point)) == _path_fields(*expected)
+    assert _path_fields(*classify_path(list(log.entries), domains, point)) == _path_fields(*expected)
+
+
+def test_classify_path_rejects_a_non_finite_candidate():
+    log = entries_from([((0.0,), S), ((1.0,), U)])
+    domains = {0: IntervalDomain((0.5,))}
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            classify_dt(build_tree(log, domains.keys(), domains), (bad,))
+        with pytest.raises(ValueError, match="finite"):
+            classify_path(log, domains, (bad,))
+
+
+def test_classify_path_rejects_a_candidate_shorter_than_a_tree_feature():
+    # feature 0's single interval has gain 0, so the root tests feature 1
+    log = entries_from([((0.0, 0.0), S), ((0.0, 1.0), U)], d=2)
+    domains = {0: IntervalDomain(()), 1: IntervalDomain((0.5,))}
+    message = "candidate has 1 features, tree tests feature 1"
+    with pytest.raises(DimensionMismatch, match=message):
+        classify_dt(build_tree(log, domains.keys(), domains), (0.0,))
+    with pytest.raises(DimensionMismatch, match=message):
+        classify_path(log, domains, (0.0,))
+    # a tree that never reaches feature 1 answers a short candidate, as classify_dt does
+    expected = classify_dt(build_tree(log, {0}, domains), (0.0,))
+    assert _path_fields(*classify_path(log, {0: domains[0]}, (0.0,))) == _path_fields(*expected)
+
+
+def test_classify_path_empty_log_raises():
+    with pytest.raises(EmptySet):
+        classify_path(TransactionLog("me", 1), {}, (0.0,))

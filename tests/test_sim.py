@@ -21,10 +21,11 @@ from trustlens.sim import (
     generate_population,
     run_experiment,
     run_experiments,
-    sample_features,
     sweep,
     write_results_csv,
 )
+
+from conftest import sample_features
 
 S = Outcome.SUCCESSFUL
 U = Outcome.UNSUCCESSFUL
