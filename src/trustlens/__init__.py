@@ -8,7 +8,6 @@ from .core import (
     Transaction,
     TransactionLog,
     filter_by_context,
-    partition,
     read_log_csv,
     write_log_csv,
 )
@@ -24,7 +23,6 @@ __all__ = [
     "TransactionLog",
     "assess",
     "filter_by_context",
-    "partition",
     "read_log_csv",
     "record_outcome",
     "write_log_csv",

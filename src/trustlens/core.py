@@ -14,7 +14,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
-from .errors import DimensionMismatch, DuplicateId, EmptySet, LogFormatError, TrustlensError
+from .errors import DimensionMismatch, DuplicateId, LogFormatError, TrustlensError
 
 _MISSING = object()
 
@@ -53,9 +53,9 @@ class TransactionLog:
 
     Every entry shares the log's dimensionality, has a resolved outcome, and
     a unique id. Mutation is single-writer: only the owning agent appends.
-    ``entries`` grows only through ``append``, which keeps the class counts
-    and the set of contexts current; what else is derived from the entries
-    is kept until the next ``append``.
+    ``entries`` grows only through ``append``, which keeps the class counts,
+    the set of contexts and the context views current; what else is derived
+    from the entries is kept until the next ``append``.
     """
 
     owner: str
@@ -74,6 +74,7 @@ class TransactionLog:
         self._contexts = {t.context for t in self.entries}
         self._derived: dict = {}  # key -> value computed from the current entries
         self._raised: dict = {}  # key -> the TrustlensError its computation raised
+        self._views: dict[str, TransactionLog] = {}  # context -> its view, grown by append
 
     def _validate_entry(self, t: Transaction, ids: set[str]) -> None:
         if t.outcome is None:
@@ -93,6 +94,9 @@ class TransactionLog:
         self._contexts.add(t.context)
         self._derived.clear()
         self._raised.clear()
+        view = self._views.get(t.context)
+        if view is not None:
+            view.append(t)
 
     def derived(self, key: object, compute: Callable[[TransactionLog], Any]) -> Any:
         """``compute(self)``, kept under ``key`` until the next ``append``; a
@@ -110,11 +114,15 @@ class TransactionLog:
 
     def context_view(self, context: str) -> TransactionLog:
         """The entries in ``context``: the log itself when it holds no other
-        context, else ``filter_by_context(self, context)``, made once per log
-        state. Its readers must not append to it."""
+        context, else a ``filter_by_context`` view made once and grown by each
+        ``append`` in ``context``, so an append elsewhere leaves it, and what is
+        derived from it, alone. Its readers must not append to it."""
         if self._contexts <= {context}:
             return self
-        return self.derived(("context", context), lambda log: filter_by_context(log, context))
+        view = self._views.get(context)
+        if view is None:
+            view = self._views[context] = filter_by_context(self, context)
+        return view
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -151,19 +159,6 @@ def derived_each(
         found = log._derived.get(key, _MISSING)
         values.append(log.derived(key, compute) if found is _MISSING else found)
     return values
-
-
-def partition(log: TransactionLog) -> tuple[list[Transaction], list[Transaction]]:
-    """Split a log into its successful and unsuccessful groups.
-
-    Entry order is preserved within each group; every entry lands in exactly
-    one group.
-    """
-    if not log.entries:
-        raise EmptySet(f"log of {log.owner!r} has no entries to partition")
-    successful = [t for t in log.entries if t.outcome is Outcome.SUCCESSFUL]
-    unsuccessful = [t for t in log.entries if t.outcome is Outcome.UNSUCCESSFUL]
-    return successful, unsuccessful
 
 
 def filter_by_context(log: TransactionLog, context: str) -> TransactionLog:

@@ -9,9 +9,9 @@ along the path).
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, replace
-from itertools import accumulate
+from itertools import repeat
 from typing import Iterable, Mapping, Sequence, Union
 
 from .core import Outcome, Transaction, TransactionLog
@@ -88,6 +88,16 @@ def entropy(counts: tuple[int, int]) -> float:
     return h
 
 
+class _EntropyMemo(dict):
+    """``H[n_s, n_u]`` is ``entropy((n_s, n_u))``, computed on first use and kept."""
+
+    def __missing__(self, counts: tuple[int, int]) -> float:
+        return self.setdefault(counts, entropy(counts))
+
+
+H = _EntropyMemo()  # shared by every split score in the process
+
+
 def bucket_counts(
     entries: Iterable[Transaction], feature: int, domain: IntervalDomain
 ) -> dict[int, list[int]]:
@@ -121,17 +131,19 @@ def _split_gain(pairs: Iterable[Sequence[int]], parent: tuple[int, int]) -> floa
 
     ``pairs`` are the buckets' (successful, unsuccessful) counts in bucket
     order; empty ones are skipped. The expected entropy is summed from 0.0
-    by adding each bucket's term ``((n_s + n_u) / total) * entropy((n_s,
-    n_u))`` in bucket order, and the gain is ``min(max(h - expected, 0.0),
-    h)``. ``information_gain`` and tree growth call this, and ``discretize``
-    adds its terms in the same order, so all three agree to the last bit.
+    by adding each bucket's term ``((n_s + n_u) / total) * H[n_s, n_u]`` in
+    bucket order, and the gain is ``min(max(h - expected, 0.0), h)`` with
+    ``h = H[parent]``; ``H``, the memo of ``entropy``, computes each count
+    pair's entropy once per process. ``information_gain`` and tree growth
+    call this, and ``discretize`` adds its terms, from ``H`` too, in the
+    same order, so all three agree to the last bit.
     """
-    h = entropy(parent)
+    h = H[parent]
     total = parent[0] + parent[1]
     expected = 0.0
     for n_s, n_u in pairs:
         if n_s or n_u:
-            expected += ((n_s + n_u) / total) * entropy((n_s, n_u))
+            expected += ((n_s + n_u) / total) * H[n_s, n_u]
     return min(max(h - expected, 0.0), h)
 
 
@@ -149,60 +161,62 @@ def discretize(
     has the highest ``information_gain``, only if it beats the current gain
     strictly. The resulting intervals cover the real line.
 
-    The log is sorted once; a threshold ``t`` cuts the sorted distinct values
-    at ``bisect_right(values, t)``, which is the ``IntervalDomain.bucket_of``
-    rule (values <= t fall left). Each interval between chosen cuts keeps
-    its ``_split_gain`` term, built from prefix class counts, and each
-    remaining candidate keeps the two terms it would create inside its
-    interval; those are recomputed only when a chosen cut splits that
-    interval. A candidate in interval ``j`` is scored by adding, from 0.0,
-    the terms of intervals ``0..j-1``, its left term, its right term, then
-    the terms after ``j``: the additions ``_split_gain`` makes, in its
-    order, so the domain is exactly the one a rescan of the log per trial
-    would choose. A candidate whose cut leaves an interval empty scores
-    exactly the current gain, so it can never win and is dropped.
+    The ``(value, unsuccessful)`` pairs are sorted once; one pass over them
+    gives the distinct values and their prefix class counts, whose
+    differences show where both neighbours are pure in one class. The
+    threshold between distinct values ``i`` and ``i + 1`` cuts at ``i + 2``
+    when it rounds up to the higher value, else at ``i + 1``: the
+    ``IntervalDomain.bucket_of`` rule (values <= t fall left). Each interval
+    between chosen cuts keeps its ``_split_gain`` term, read from prefix
+    counts and the entropy memo ``H``, and each remaining candidate keeps
+    the two terms it would create inside its interval; those are recomputed
+    only when a chosen cut splits that interval. A candidate in interval
+    ``j`` is scored by adding, from 0.0, the terms of intervals ``0..j-1``,
+    its left term, its right term, then the terms after ``j``: the additions
+    ``_split_gain`` makes, in its order, so the domain is exactly the one a
+    rescan of the log per trial would choose. A candidate whose cut leaves
+    an interval empty scores exactly the current gain, so it never wins and
+    is dropped.
     """
-    entries = _entries(log)
-    by_value: dict[float, list[int]] = {}  # value -> [successful, unsuccessful] entries
-    for t in entries:
-        pair = by_value.setdefault(t.features[feature], [0, 0])
-        pair[0 if t.outcome is Outcome.SUCCESSFUL else 1] += 1
-    if len(by_value) < 2:
+    unsuccessful = Outcome.UNSUCCESSFUL  # a local: an enum member lookup per entry is slow
+    pairs = sorted([(t.features[feature], t.outcome is unsuccessful) for t in _entries(log)])
+    values, ps, pu = [], [], []  # ps[i], pu[i]: class counts of the i smallest distinct values
+    n_u, last = 0, None
+    for k, (value, is_unsuccessful) in enumerate(pairs):
+        if value != last:
+            values.append(value)
+            ps.append(k - n_u)
+            pu.append(n_u)
+            last = value
+        n_u += is_unsuccessful
+    ps.append(len(pairs) - n_u)
+    pu.append(n_u)
+    if len(values) < 2:
         raise ConstantFeature(f"feature {feature} takes a single value")
 
-    values = sorted(by_value)
-    n = len(values)
-    counts = [by_value[v] for v in values]
-    # prefix_s[i], prefix_u[i]: class counts of the i smallest distinct values
-    prefix_s = list(accumulate([c[0] for c in counts], initial=0))
-    prefix_u = list(accumulate([c[1] for c in counts], initial=0))
-
     candidates: list[tuple[float, int]] = []  # (threshold, cut), ascending
-    for lo, hi, (s_lo, u_lo), (s_hi, u_hi) in zip(values, values[1:], counts, counts[1:]):
-        if (u_lo == u_hi == 0) or (s_lo == s_hi == 0):
+    for i, (lo, hi) in enumerate(zip(values, values[1:])):
+        if pu[i + 2] == pu[i] or ps[i + 2] == ps[i]:
             continue  # pure and identical on both sides: no boundary here
         midpoint = (lo + hi) / 2.0
         if math.isinf(midpoint):  # lo + hi overflowed; halve first
             midpoint = lo / 2.0 + hi / 2.0
         if candidates and candidates[-1][0] == midpoint:
             continue  # adjacent floats: the same threshold twice
-        candidates.append((midpoint, bisect_right(values, midpoint)))
+        candidates.append((midpoint, i + 2 if midpoint == hi else i + 1))
 
-    total = prefix_s[n] + prefix_u[n]
-    h = entropy((prefix_s[n], prefix_u[n]))
-    log2 = math.log2
-
-    def term(a: int, b: int) -> float:  # the _split_gain term of values[a:b], a < b
-        n_s, n_u = prefix_s[b] - prefix_s[a], prefix_u[b] - prefix_u[a]
-        if not (n_s and n_u):
-            return 0.0  # a pure interval: entropy 0
-        # entropy((n_s, n_u)) inlined: 0.0 - x - y is -x - y, as x = p * log2(p) != 0
-        p, q = n_s / (n_s + n_u), n_u / (n_s + n_u)
-        return ((n_s + n_u) / total) * (-p * log2(p) - q * log2(q))
-
-    terms = [term(0, n)]  # one per interval between chosen cuts, ascending
+    n, total = len(values), len(pairs)
+    s_all, u_all = ps[n], pu[n]
+    h = H[s_all, u_all]
+    # values[a:b]'s _split_gain term, written out below, is ((n_s + n_u) / total) * H[n_s, n_u]
+    # with n_s = ps[b] - ps[a] and n_u = pu[b] - pu[a]; for the whole log it is h.
+    terms = [h]  # one per interval between chosen cuts, ascending
     # per interval, its candidates in ascending order: (threshold, cut, left term, right term)
-    pending = [[(t, cut, term(0, cut), term(cut, n)) for t, cut in candidates if 0 < cut < n]]
+    pending = [[
+        (t, cut, ((ps[cut] + pu[cut]) / total) * H[ps[cut], pu[cut]],
+         ((total - ps[cut] - pu[cut]) / total) * H[s_all - ps[cut], u_all - pu[cut]])
+        for t, cut in candidates if 0 < cut < n
+    ]]
     chosen: list[float] = []
     current = 0.0  # gain of the single-interval split
     for _ in range(max_bins - 1):
@@ -225,9 +239,12 @@ def discretize(
         threshold, split, left, right = best
         terms[best_j : best_j + 1] = [left, right]
         group = pending[best_j]
+        s_cut, u_cut = ps[split], pu[split]
         pending[best_j : best_j + 1] = [
-            [(t, cut, lt, term(cut, split)) for t, cut, lt, _ in group if cut < split],
-            [(t, cut, term(split, cut), rt) for t, cut, _, rt in group if cut > split],
+            [(t, cut, lt, ((s_cut - ps[cut] + u_cut - pu[cut]) / total) * H[s_cut - ps[cut], u_cut - pu[cut]])
+             for t, cut, lt, _ in group if cut < split],
+            [(t, cut, ((ps[cut] - s_cut + pu[cut] - u_cut) / total) * H[ps[cut] - s_cut, pu[cut] - u_cut], rt)
+             for t, cut, _, rt in group if cut > split],
         ]
         chosen.append(threshold)
         current = best_gain
@@ -310,11 +327,11 @@ def _tree_rows(
     if missing:
         raise ValueError(f"no domain supplied for features {sorted(missing)}")
     order = sorted(features)
-    bucketers = [(f, domains[f].bucket_of) for f in order]
-    rows: list[_Row] = [
-        (tuple([bucket(t.features[f]) for f, bucket in bucketers]), 0 if t.outcome is Outcome.SUCCESSFUL else 1)
-        for t in entries
-    ]
+    by_feature = list(zip(*[t.features for t in entries]))  # feature -> its value per entry
+    buckets = [list(map(domains[f].bucket_of, by_feature[f])) for f in order]
+    successful = Outcome.SUCCESSFUL
+    labels = [0 if t.outcome is successful else 1 for t in entries]
+    rows: list[_Row] = list(zip(zip(*buckets) if buckets else repeat(()), labels))
     columns: _Columns = {f: (i, len(domains[f].buckets())) for i, f in enumerate(order)}
     return rows, features, columns, domains
 
@@ -339,7 +356,7 @@ def _split(rows: list[_Row], features: frozenset[int], columns: _Columns) -> tup
             counts[buckets[column]][u] += 1
         gains[f] = _split_gain(counts, (n_s, n_u))
     best = min(features, key=lambda f: (-gains[f], f))
-    parent_entropy = entropy((n_s, n_u))
+    parent_entropy = H[n_s, n_u]
     reduction = gains[best] / parent_entropy if parent_entropy > 0.0 else 1.0
     return InternalNode(best, parent_entropy, gains[best], reduction, len(rows), ()), LeafNode(majority, 0)
 

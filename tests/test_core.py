@@ -1,4 +1,4 @@
-"""Core types, partitioning, context filtering, and the CSV log format."""
+"""Core types, context filtering and views, and the CSV log format."""
 
 from __future__ import annotations
 
@@ -17,16 +17,16 @@ from trustlens.core import (
     TransactionLog,
     derived_each,
     filter_by_context,
-    partition,
     read_log_csv,
     write_log_csv,
 )
+from trustlens import dtree, lda
 from trustlens.errors import (
     DegenerateClasses,
     DimensionMismatch,
     DuplicateId,
-    EmptySet,
     LogFormatError,
+    TrustlensError,
 )
 
 from conftest import make_log
@@ -56,45 +56,6 @@ def test_log_rejects_duplicate_ids_and_bad_dimensions():
         log.append(Transaction("t1", "q", "c", (0.0, 0.0), Outcome.UNSUCCESSFUL))
     with pytest.raises(DimensionMismatch):
         log.append(Transaction("t2", "q", "c", (0.0,), Outcome.UNSUCCESSFUL))
-
-
-def test_partition_direct_split():
-    log = make_log([[1.0]], [[2.0]])
-    group_s, group_u = partition(log)
-    assert [t.features for t in group_s] == [(1.0,)]
-    assert [t.features for t in group_u] == [(2.0,)]
-
-
-def test_partition_degenerate_single_class():
-    log = make_log([[1.0], [2.0], [3.0]], [])
-    group_s, group_u = partition(log)
-    assert len(group_s) == 3 and len(group_u) == 0
-
-
-def test_partition_counts_match_enumeration():
-    log = make_log([[float(i)] for i in range(4)], [[float(i)] for i in range(2)])
-    group_s, group_u = partition(log)
-    n_s = sum(1 for t in log.entries if t.outcome is Outcome.SUCCESSFUL)
-    n_u = sum(1 for t in log.entries if t.outcome is Outcome.UNSUCCESSFUL)
-    assert (len(group_s), len(group_u)) == (n_s, n_u) == (4, 2)
-    assert len(group_s) + len(group_u) == len(log)
-
-
-def test_partition_empty_log():
-    with pytest.raises(EmptySet):
-        partition(TransactionLog("me", 1))
-
-
-def test_partition_is_bijection_and_order_preserving():
-    rng = random.Random(5)
-    log = TransactionLog("me", 1)
-    for i in range(60):
-        outcome = Outcome.SUCCESSFUL if rng.random() < 0.5 else Outcome.UNSUCCESSFUL
-        log.append(Transaction(f"t{i}", "p", "c", (rng.random(),), outcome))
-    group_s, group_u = partition(log)
-    assert sorted(t.id for t in group_s + group_u) == sorted(t.id for t in log.entries)
-    ids_s = [t.id for t in group_s]
-    assert ids_s == [t.id for t in log.entries if t.outcome is Outcome.SUCCESSFUL]
 
 
 def test_derived_value_lasts_until_append():
@@ -154,16 +115,56 @@ def test_derived_each_reads_kept_values_and_computes_the_rest():
     assert computed == ["o1", "o0", "o2"]
 
 
-def test_context_view_is_shared_until_append():
+def test_context_view_is_kept_and_grown_by_append():
     log = make_log([(0.0,), (1.0,)], [(2.0,)], context="book")
     log.append(Transaction("d1", "p", "dvd", (3.0,), Outcome.SUCCESSFUL))
     view = log.context_view("book")
-    assert log.context_view("book") is view
+    assert log.context_view("book") is view and len(view) == 3
     assert view.entries == filter_by_context(log, "book").entries
     assert filter_by_context(log, "book") is not filter_by_context(log, "book")
     log.append(Transaction("b9", "p", "book", (4.0,), Outcome.UNSUCCESSFUL))
-    grown = log.context_view("book")
-    assert grown is not view and len(grown) == len(view) + 1 == 4
+    assert log.context_view("book") is view and len(view) == 4
+    assert view.entries[-1].id == "b9" and view.class_counts() == (2, 2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from("abc"), st.booleans()), max_size=10),
+    st.lists(st.tuples(st.sampled_from(["append", "read"]), st.sampled_from("abc"), st.booleans()), max_size=30),
+)
+def test_views_follow_appends_across_contexts(initial, steps):
+    def entry(i, context, ok):
+        features = (float(i % 5), float(i % 3))
+        return Transaction(f"t{i}", "p", context, features, Outcome.SUCCESSFUL if ok else Outcome.UNSUCCESSFUL)
+
+    log = TransactionLog("me", 2, entries=[entry(i, c, ok) for i, (c, ok) in enumerate(initial)])
+    seen = {}  # context -> (its view, the view's LDA model, its domains) at the last step
+    for i, (action, context, ok) in enumerate(steps, start=len(initial)):
+        if action == "append":
+            log.append(entry(i, context, ok))
+        else:
+            seen.setdefault(context, (None, None, None))
+        for c, (old_view, old_model, old_domains) in seen.items():
+            view = log.context_view(c)
+            if old_view is not None and old_view is not log:
+                assert view is old_view  # kept, not rebuilt
+            assert view.entries == filter_by_context(log, c).entries
+            assert view.class_counts() == _recount(view)
+            model = _derived_or_error(lda.log_model, view)
+            domains = _derived_or_error(dtree.log_domains, view)
+            if action == "append" and view is old_view and view is not log:
+                if context == c:
+                    assert model is not old_model and domains is not old_domains
+                else:
+                    assert model is old_model and domains is old_domains
+            seen[c] = (view, model, domains)
+
+
+def _derived_or_error(read, view):
+    try:
+        return read(view)
+    except TrustlensError as exc:
+        return exc
 
 
 def _recount(log):

@@ -4,16 +4,21 @@ exception type and message."""
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_impl
 from trustlens import dtree, lda
 from trustlens.core import Outcome, Transaction, TransactionLog
+from trustlens.errors import EmptySet
 
 from conftest import make_log
 
@@ -86,6 +91,51 @@ def test_discretize_matches_reference_on_mirrored_grids():
         got = _outcome(dtree.discretize, log, 0, max_bins)
         want = _outcome(reference_impl.discretize, log, 0, max_bins)
         assert (got[0], repr(got[1])) == (want[0], repr(want[1]))
+
+
+def test_entropy_memo_equals_entropy_bit_for_bit():
+    dtree.H.clear()  # every pair below is computed by the memo, then read back
+    for _ in range(2):
+        for n_s in range(301):
+            for n_u in range(301):
+                if n_s or n_u:
+                    assert dtree.H[n_s, n_u].hex() == dtree.entropy((n_s, n_u)).hex()
+    with pytest.raises(EmptySet):
+        dtree.H[0, 0]
+    assert (0, 0) not in dtree.H and len(dtree.H) == 301 * 301 - 1
+
+
+def test_entropy_memo_starts_empty():
+    code = "import trustlens, trustlens.dtree as d, trustlens.cli, trustlens.sim; print(len(d.H))"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert run.stdout.strip() == "0"
+
+
+def test_discretize_matches_reference_on_deep_logs_largest_first():
+    # Logs shaped like a deep local history: four continuous features whose
+    # class means differ by 0.2 against noise 0.1, a fifth of the labels
+    # flipped, 60-100 entries and more than 50 of one class. Running them
+    # from the largest down fills the entropy memo out of order.
+    rng = random.Random(31)
+    logs = []
+    for _ in range(40):
+        n = rng.randint(60, 100)
+        labels = [True] * rng.randint(51, n - 9)
+        labels += [False] * (n - len(labels))
+        rng.shuffle(labels)
+        rows = []
+        for successful in labels:
+            shift = 0.0 if successful != (rng.random() < 0.2) else 0.2
+            rows.append((tuple(1.0 + shift + rng.gauss(0.0, 0.1) for _ in range(4)), successful))
+        logs.append(_entries(rows, 4))
+    dtree.H.clear()
+    for log in sorted(logs, key=len, reverse=True):
+        for feature in range(4):
+            got = dtree.discretize(log, feature)
+            want = reference_impl.discretize(log, feature)
+            assert [t.hex() for t in got.thresholds] == [t.hex() for t in want.thresholds]
 
 
 def _model_bits(model: lda.LdaModel):
