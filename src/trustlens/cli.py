@@ -8,13 +8,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import math
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import engine, lda, sim
-from .core import Transaction, read_log_csv
+from .core import Transaction, index_path, read_log_csv, write_indexed_log
 from .errors import ConfigError, InsufficientKnowledge, TrustlensError
 
 EXIT_OK = 0
@@ -240,6 +242,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     feature_columns: list[str] = mapping["features"]
     in_path = Path(args.input)
     _check_output_path(args.out)
+    _check_output_path(str(index_path(args.out)))
 
     try:
         with in_path.open(newline="", encoding="utf-8-sig") as fh:  # a leading BOM is dropped
@@ -257,10 +260,11 @@ def cmd_ingest(args: argparse.Namespace) -> int:
                 )
             i_id, i_counterparty, i_context, i_outcome, *feature_indices = (index[c] for c in columns)
 
-            kept_rows: list[list[str]] = []
+            rows: list[str] = []  # the log's records as CSV lines, each checked
+            writer = csv.writer(SimpleNamespace(write=rows.append), lineterminator="\n")  # a write per row
             dropped = 0
             outcome_counts = {"successful": 0, "unsuccessful": 0}
-            context_counts: dict[str, int] = {}
+            contexts: dict[str, list[int]] = {}  # context -> its row numbers
             seen_ids: set[str] = set()
             total = 0
             for row in reader:
@@ -301,20 +305,14 @@ def cmd_ingest(args: argparse.Namespace) -> int:
                 counterparty = row[i_counterparty].strip()
                 key = "successful" if outcome == "1" else "unsuccessful"
                 outcome_counts[key] += 1
-                context_counts[context] = context_counts.get(context, 0) + 1
-                kept_rows.append([tid, counterparty, context, outcome] + features)
+                contexts.setdefault(context, []).append(len(rows))
+                writer.writerow([tid, counterparty, context, outcome] + features)
     except csv.Error as exc:  # e.g. an oversized field
         raise ConfigError(f"{in_path} line {reader.line_num}: unreadable CSV: {exc}") from None
 
-    with Path(args.out).open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["id", "counterparty", "context", "outcome"]
-            + [f"f{i}" for i in range(1, len(feature_columns) + 1)]
-        )
-        writer.writerows(kept_rows)
+    write_indexed_log(args.out, len(feature_columns), rows, contexts)
 
-    kept = len(kept_rows)
+    kept = len(rows)
     print(f"rows read:    {total}")
     print(f"rows kept:    {kept}")
     print(f"rows dropped: {dropped} (unparseable outcome, non-finite/missing features, or bad id)")
@@ -325,8 +323,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             f"outcomes: successful {outcome_counts['successful']} ({pct_s:.1f}%), "
             f"unsuccessful {outcome_counts['unsuccessful']} ({pct_u:.1f}%)"
         )
-        contexts = ", ".join(f"{k}={v}" for k, v in sorted(context_counts.items()))
-        print(f"contexts: {contexts}")
+        summary = ", ".join(f"{k}={len(v)}" for k, v in sorted(contexts.items()))
+        print(f"contexts: {summary}")
     print(f"wrote {kept} rows to {args.out}")
     return EXIT_OK
 
@@ -334,6 +332,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if isinstance(sys.stdout, io.TextIOWrapper):  # a context an ASCII locale cannot print is escaped
+        sys.stdout.reconfigure(errors="backslashreplace")
     try:
         return args.func(args)
     except (TrustlensError, OSError, UnicodeDecodeError) as exc:

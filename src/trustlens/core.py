@@ -8,9 +8,11 @@ Candidate transactions being assessed are the same type with a pending outcome.
 from __future__ import annotations
 
 import csv
+import hashlib
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import accumulate
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
@@ -172,8 +174,16 @@ def filter_by_context(log: TransactionLog, context: str) -> TransactionLog:
 
 # CSV log format: header `id,counterparty,context,outcome,f1,...,fd`,
 # outcome in {1,0} (1 = successful), d inferred from the feature columns.
+# `ingest` writes a row index beside it (see `write_indexed_log`).
 
 _FIXED_COLUMNS = ("id", "counterparty", "context", "outcome")
+_OUTCOMES = {"1": Outcome.SUCCESSFUL, "0": Outcome.UNSUCCESSFUL}
+_INDEX_MAGIC = b"trustlens-log-index 1 "
+
+
+def index_path(path: str | Path) -> Path:
+    """Where the row index of the log at ``path`` lives: ``<log>.index``."""
+    return Path(f"{path}.index")
 
 
 def read_log_csv(
@@ -181,13 +191,20 @@ def read_log_csv(
 ) -> TransactionLog:
     """Load a transaction log from its CSV representation.
 
-    Every row is checked (field count, outcome, finite features, ids unique
-    across the whole file), whatever its context. With ``context`` set, only
-    the rows in that context become entries, which equals
-    ``filter_by_context(read_log_csv(path, owner), context)``. An error's
+    Every row was checked (field count, outcome, finite features, ids unique
+    across the whole file), whatever its context: at ingest or now. With
+    ``context`` set, only the rows in that context become entries, which
+    equals ``filter_by_context(read_log_csv(path, owner), context)``, and only
+    they are read when the row index beside the log matches it; a missing,
+    unreadable, malformed or stale index means a full read. An error's
     ``row`` is the physical line its record ends on, the header being line 1.
     """
     path = Path(path)
+    log = None if context is None else _read_indexed(path, owner, context)
+    return _read_full(path, owner, context) if log is None else log
+
+
+def _read_full(path: Path, owner: str, context: str | None) -> TransactionLog:
     try:
         with path.open(newline="", encoding="utf-8-sig") as fh:  # a leading BOM is dropped
             reader = csv.reader(fh)
@@ -201,44 +218,95 @@ def read_log_csv(
             for row in reader:
                 if not row:
                     continue
-                if len(row) != 4 + d:
-                    raise LogFormatError(
-                        f"expected {4 + d} fields, found {len(row)}", row=reader.line_num
-                    )
-                tid, counterparty, row_context, outcome_text = row[:4]
-                if outcome_text == "1":
-                    outcome = Outcome.SUCCESSFUL
-                elif outcome_text == "0":
-                    outcome = Outcome.UNSUCCESSFUL
-                else:
-                    raise LogFormatError(
-                        f"outcome must be 1 or 0, found {outcome_text!r}",
-                        row=reader.line_num,
-                        column="outcome",
-                    )
-                features = []
-                for i, cell in enumerate(row[4:], start=1):
-                    try:
-                        value = float(cell)
-                    except ValueError:
-                        raise LogFormatError(
-                            f"feature value {cell!r} is not a number",
-                            row=reader.line_num,
-                            column=f"f{i}",
-                        ) from None
-                    if not math.isfinite(value):
-                        raise LogFormatError(
-                            f"feature value {cell!r} is not finite", row=reader.line_num, column=f"f{i}"
-                        )
-                    features.append(value)
+                outcome, features = _check_row(row, d, reader.line_num)
+                tid, counterparty, row_context = row[:3]
                 if tid in ids:
                     raise LogFormatError(f"duplicate transaction id {tid!r}", row=reader.line_num, column="id")
                 ids.add(tid)
                 if context is None or row_context == context:
-                    entries.append(Transaction(tid, counterparty, row_context, tuple(features), outcome))
+                    entries.append(Transaction(tid, counterparty, row_context, features, outcome))
     except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
         raise LogFormatError(f"unreadable CSV: {exc}", row=reader.line_num) from None
     return TransactionLog(owner=owner, dimensionality=d, entries=entries)
+
+
+def _check_row(row: list[str], d: int, line: int) -> tuple[Outcome, list[float]]:
+    """A record's outcome and features, or the ``LogFormatError`` naming ``line``."""
+    if len(row) != 4 + d:
+        raise LogFormatError(f"expected {4 + d} fields, found {len(row)}", row=line)
+    outcome = _OUTCOMES.get(row[3])
+    if outcome is None:
+        raise LogFormatError(f"outcome must be 1 or 0, found {row[3]!r}", row=line, column="outcome")
+    features = []
+    for i, cell in enumerate(row[4:], start=1):
+        try:
+            value = float(cell)
+        except ValueError:
+            raise LogFormatError(f"feature value {cell!r} is not a number", row=line, column=f"f{i}") from None
+        if not math.isfinite(value):
+            raise LogFormatError(f"feature value {cell!r} is not finite", row=line, column=f"f{i}")
+        features.append(value)
+    return outcome, features
+
+
+def _read_indexed(path: Path, owner: str, context: str) -> TransactionLog | None:
+    """``context``'s rows, read at the offsets the row index gives, or None
+    when the index is missing, unreadable, malformed or not this log's."""
+    try:
+        head, _, body = index_path(path).read_bytes().partition(b"\n")
+        with path.open("rb") as fh:
+            digest = hashlib.sha256()
+            for chunk in iter(lambda: fh.read(1 << 16), b""):
+                digest.update(chunk)
+            digest.update(body)
+            if head != _INDEX_MAGIC + digest.hexdigest().encode():
+                return None
+            # the context's line starts after a newline outside any quoted field
+            text, key = "\n" + body.decode("utf-8"), "\n" + _index_key(context) + ","
+            at = text.find(key)
+            while at >= 0 and text.count('"', 0, at) % 2:
+                at = text.find(key, at + 1)
+            end = at + len(key)
+            starts = text[end : text.index("\n", end)].split(",") if at >= 0 else []
+            reader = csv.reader(line.decode("utf-8") for line in fh)  # one record per next()
+            fh.seek(0)
+            d = _check_header(next(reader))
+            entries = []
+            for start in map(int, starts):
+                fh.seek(start)
+                row = next(reader)
+                outcome, features = _check_row(row, d, reader.line_num)
+                if row[2] != context:
+                    return None
+                entries.append(Transaction(row[0], row[1], context, features, outcome))
+            return TransactionLog(owner=owner, dimensionality=d, entries=entries)
+    except (OSError, ValueError, StopIteration, csv.Error, TrustlensError):
+        return None
+
+
+def _index_key(context: str) -> str:
+    """``context`` as the row index writes it: a quoted CSV field."""
+    return '"' + context.replace('"', '""') + '"'
+
+
+def write_indexed_log(path: str | Path, d: int, rows: list[str], contexts: dict[str, list[int]]) -> None:
+    """Write a log of ``d`` features whose records are the checked CSV lines
+    ``rows``, and its row index, ``index_path(path)``: a line of
+    ``_INDEX_MAGIC`` and the hex SHA-256 of the log's bytes and then of the
+    body, and a body of one CSV row per context of ``contexts`` (which maps it
+    to its row numbers): the context, always quoted, then its rows' byte
+    offsets in the log, in file order."""
+    head = ",".join(_FIXED_COLUMNS + tuple(f"f{i}" for i in range(1, d + 1))) + "\n"
+    text = "".join([head, *rows])
+    data = text.encode("utf-8")
+    sizes = map(len, rows) if len(data) == len(text) else map(len, map(str.encode, rows))  # ASCII: a byte a char
+    starts = list(accumulate(sizes, initial=len(head)))
+    body = "".join(
+        f"{_index_key(c)},{','.join(map(str, map(starts.__getitem__, numbers)))}\n"
+        for c, numbers in contexts.items()
+    ).encode("utf-8")
+    Path(path).write_bytes(data)
+    index_path(path).write_bytes(_INDEX_MAGIC + hashlib.sha256(data + body).hexdigest().encode() + b"\n" + body)
 
 
 def _check_header(header: list[str]) -> int:
@@ -262,8 +330,7 @@ def _check_header(header: list[str]) -> int:
 
 def write_log_csv(log: TransactionLog, path: str | Path) -> None:
     """Write a log in the CSV format read back by :func:`read_log_csv`."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(list(_FIXED_COLUMNS) + [f"f{i}" for i in range(1, log.dimensionality + 1)])
         for t in log.entries:

@@ -401,8 +401,9 @@ def _candidate_bucket(domains: FeatureDomains, feature: int, point: tuple[float,
 def confidence_dt(path: Sequence[InternalNode]) -> float:
     """Product of entropy-reduction ratios along a classification path.
 
-    An empty path (single-leaf tree) is fully confident; any uninformative
-    node (zero gain) zeroes the product.
+    An empty path gives 1.0 (``engine`` scores a single-leaf tree by its
+    leaf's purity instead); any uninformative node (zero gain) zeroes the
+    product.
     """
     sigma = 1.0
     for step in path:

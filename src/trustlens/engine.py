@@ -121,7 +121,9 @@ def _lda_prediction(
 
 def _dt_prediction(sub_log: TransactionLog, features: Sequence[float]) -> Prediction:
     label, path = dtree.classify_path(sub_log, dtree.log_domains(sub_log), features)
-    return Prediction(label, dtree.confidence_dt(path), "DT")
+    # a tree of one leaf is as confident as that leaf is pure
+    confidence = dtree.confidence_dt(path) if path else 1.0 - dtree.H[sub_log.class_counts()]
+    return Prediction(label, confidence, "DT")
 
 
 def record_outcome(log: TransactionLog, completed: Transaction) -> TransactionLog:

@@ -232,7 +232,8 @@ def train(
     if not log.entries:
         raise EmptySet(f"log of {log.owner!r} has no entries to partition")
     m = np.fromiter(chain.from_iterable([t.features for t in log.entries]), float).reshape(-1, log.dimensionality)
-    successful = np.fromiter([t.outcome is Outcome.SUCCESSFUL for t in log.entries], bool)
+    success = Outcome.SUCCESSFUL  # a local: an enum member lookup per entry is slow
+    successful = np.fromiter([t.outcome is success for t in log.entries], bool)
     # overflow in the scatter or the solve surfaces as DegenerateClasses
     with np.errstate(all="ignore"):
         return projection_direction(_within(_lexsorted(m[successful]), _lexsorted(m[~successful])), regularization)

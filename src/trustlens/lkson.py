@@ -12,7 +12,7 @@ predicted the realized outcome.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -223,60 +223,15 @@ def post_transaction_update(
         graph.record_result(requester, knowledge.provider, correct=(predicted is outcome))
 
 
-class ContextIndex:
-    """A population indexed once: per context, the agents that hold it and
-    the rest, each in population order with every agent's position in it."""
-
-    def __init__(self, population: Mapping[str, Iterable[str]]):
-        held = {agent: frozenset(contexts) for agent, contexts in population.items()}
-        self._unknown = (_positioned(()), _positioned(held))  # a context no agent holds
-        self._groups = {
-            context: (
-                _positioned(a for a in held if context in held[a]),
-                _positioned(a for a in held if context not in held[a]),
-            )
-            for context in frozenset().union(*held.values())
-        }
-
-    def split(self, agent: str, context: str | None) -> tuple[tuple[str, ...], ...]:
-        """(familiar, unfamiliar) agents for ``context``, ``agent`` dropped by a slice."""
-        return tuple(
-            agents if (at := where.get(agent)) is None else agents[:at] + agents[at + 1 :]
-            for agents, where in self._groups.get(context, self._unknown)
-        )
-
-
-def _positioned(agents: Iterable[str]) -> tuple[tuple[str, ...], dict[str, int]]:
-    agents = tuple(agents)
-    return agents, {a: i for i, a in enumerate(agents)}
-
-
 def bootstrap_providers(
-    agent: str,
-    index: ContextIndex,
-    k: int,
-    rng: np.random.Generator,
-    context: str | None = None,
+    agent: int, population: Sequence[str], k: int, rng: np.random.Generator
 ) -> tuple[str, ...]:
-    """Draw an initial provider list, preferring context-familiar agents.
-
-    ``index`` holds the population's agents by context. Familiar agents
-    (sharing the requested context) are drawn first; the remainder fills up
-    uniformly at random. Returns the ids in draw order.
-    """
-    familiar, unfamiliar = index.split(agent, context)
-    size = min(k, len(familiar) + len(unfamiliar))
+    """Up to ``k`` agents of ``population`` other than the one at position
+    ``agent``, drawn uniformly (every simulated agent holds the one simulated
+    context), in population order."""
+    others = population[:agent] + population[agent + 1 :]
+    size = min(k, len(others))
     if size <= 0:
         return ()
-
-    chosen: list[str]
-    if len(familiar) >= size:
-        idx = rng.choice(len(familiar), size=size, replace=False)
-        chosen = [familiar[i] for i in sorted(idx.tolist())]
-    else:
-        chosen = list(familiar)
-        fill = size - len(familiar)
-        if fill and unfamiliar:
-            idx = rng.choice(len(unfamiliar), size=fill, replace=False)
-            chosen.extend(unfamiliar[i] for i in sorted(idx.tolist()))
-    return tuple(chosen)
+    idx = rng.choice(len(others), size=size, replace=False)
+    return tuple(others[i] for i in sorted(idx.tolist()))

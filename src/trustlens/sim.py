@@ -169,9 +169,9 @@ def _agent_name(index: int) -> str:
 
 class _SimState:
     """One environment, shared by every model run over it: logs, feedback,
-    the population's context index and the ready set, the agents whose log
-    holds ``min_class_count`` entries of each class (counts only grow, so an
-    agent never leaves it)."""
+    the agents' names in population order and the ready set, the agents whose
+    log holds ``min_class_count`` entries of each class (counts only grow, so
+    an agent never leaves it)."""
 
     def __init__(self, config: SimConfig, misbehave_prob: np.ndarray):
         self.config = config
@@ -183,9 +183,7 @@ class _SimState:
         self._log_of = {log.owner: log for log in self.logs}
         self.ready: set[str] = set()
         self.feedback = baselines.FeedbackStore()
-        self.contexts = lkson.ContextIndex(
-            {_agent_name(i): (SIM_CONTEXT,) for i in range(config.n_agents)}
-        )
+        self.agents = tuple(log.owner for log in self.logs)
 
     def _supply_tuples(self, providers: Sequence[str], context: str) -> list[lkson.KnowledgeTuple]:
         # a provider outside the ready set cannot train (its whole log's class
@@ -251,11 +249,7 @@ class _Predictor:
         name = _agent_name(trustor)
         if self.overlay.provider_list(name) is None:
             providers = lkson.bootstrap_providers(
-                name,
-                self.world.contexts,
-                self.config.provider_list_size,
-                self.policy,
-                context=SIM_CONTEXT,
+                trustor, self.world.agents, self.config.provider_list_size, self.policy
             )
             self.overlay.register_providers(name, providers)
 

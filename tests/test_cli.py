@@ -6,13 +6,19 @@ import contextlib
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from trustlens import cli, sim
+import trustlens
+from trustlens import cli, core, sim
 from trustlens.cli import main
 from trustlens.core import Outcome, Transaction, TransactionLog, read_log_csv, write_log_csv
 
@@ -521,3 +527,149 @@ def test_ingest_equals_dictreader_reference(tmp_path_factory, header, rows):
         f"rows kept:    {len(kept)}",
         f"rows dropped: {dropped} (unparseable outcome, non-finite/missing features, or bad id)",
     ]
+
+
+# --- the row index that ingest writes beside the log -------------------------
+
+_INDEX_MAP = "id=tid,counterparty=seller,context=cat,outcome=fb,features=price,features=sold"
+
+
+def _ingest(tmp_path, rows):
+    """Ingest export ``rows`` of (tid, seller, cat, fb, price, sold); the log's path."""
+    src, out = tmp_path / "export.csv", tmp_path / "log.csv"
+    with src.open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([_INGEST_NAMES] + rows)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["ingest", "--in", str(src), "--out", str(out), "--map", _INDEX_MAP]) == 0
+    return out
+
+
+def _export_rows(contexts):
+    return [
+        [f"t{i}", f"s{i % 3}", contexts[i % len(contexts)], "positive" if i % 2 else "negative",
+         f"{i}.5", str(i % 5)]
+        for i in range(12)
+    ]
+
+
+@pytest.fixture
+def full_reads(monkeypatch):
+    """The paths ``core._read_full`` was called with."""
+    paths, real = [], core._read_full
+
+    def spy(path, owner, context):
+        paths.append(path)
+        return real(path, owner, context)
+
+    monkeypatch.setattr(core, "_read_full", spy)
+    return paths
+
+
+# no bare "\r": csv.writer with lineterminator "\n" leaves it unquoted, so no read gets it back
+_AWKWARD = st.text(st.sampled_from(["a", "b", ",", '"', "\n", " ", "é", "日", "\U0001f600"]), max_size=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_AWKWARD, _AWKWARD, st.booleans(), st.integers(0, 9)), min_size=1, max_size=30))
+@example([("s", 'x\n",y', True, 1), ("s", "", False, 2)])  # "" is written inside the first context's line
+def test_indexed_read_equals_full_read(tmp_path_factory, records):
+    rows = [[f"t{i}", seller, cat, "1" if good else "0", str(x), str(-x)]
+            for i, (seller, cat, good, x) in enumerate(records)]
+    log_path = _ingest(tmp_path_factory.mktemp("index"), rows)
+    contexts = {cat.strip() for _, cat, _, _ in records} | {"absent"}
+    with mock.patch.object(core, "_read_full", wraps=core._read_full) as full_read:
+        indexed = {c: read_log_csv(log_path, context=c) for c in contexts}
+    assert full_read.call_count == 0  # every context was found through the index
+    core.index_path(log_path).unlink()
+    for c in contexts:
+        assert indexed[c] == read_log_csv(log_path, context=c)
+
+
+def test_fresh_ingest_takes_the_indexed_path(tmp_path, full_reads):
+    log_path = _ingest(tmp_path, _export_rows(["book", "camera"]))
+    log = read_log_csv(log_path, context="camera")
+    assert full_reads == []
+    assert [t.id for t in log.entries] == [f"t{i}" for i in range(1, 12, 2)]
+    assert read_log_csv(log_path, context="absent").entries == []
+    assert full_reads == []
+    read_log_csv(log_path)  # the whole log is always read in full
+    assert full_reads == [log_path]
+
+
+@pytest.mark.parametrize("target", ["log", "index"])
+def test_one_changed_byte_forces_the_full_read(tmp_path, full_reads, target):
+    log_path = _ingest(tmp_path, _export_rows(["book", "camera"]))
+    path = log_path if target == "log" else core.index_path(log_path)
+    data = bytearray(path.read_bytes())
+    assert data[-2:-1].isdigit()  # the log's last feature, or the index's last offset
+    data[-2] = ord("7") if data[-2] != ord("7") else ord("8")
+    path.write_bytes(bytes(data))
+    log = read_log_csv(log_path, context="book")
+    assert full_reads == [log_path]
+    core.index_path(log_path).unlink()
+    assert log == read_log_csv(log_path, context="book")
+
+
+def test_appended_bad_row_gives_the_full_read_error(tmp_path, capsys):
+    log_path = _ingest(tmp_path, _export_rows(["book", "camera"]))
+    with log_path.open("a") as fh:
+        fh.write("x1,p,camera,1,0.5,inf\n")
+    code = main(["assess", "--log", str(log_path), "--candidate", "0.0,0.0", "--context", "book"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: feature value 'inf' is not finite (row 14, column 'f2')\n"
+
+
+@pytest.mark.parametrize("damage", ["truncated", "garbage", "directory", "empty"])
+def test_damaged_index_falls_back_to_the_full_read(tmp_path, full_reads, damage):
+    log_path = _ingest(tmp_path, _export_rows(["book", "camera"]))
+    index = core.index_path(log_path)
+    text = index.read_bytes()
+    index.unlink()
+    want = read_log_csv(log_path, context="book")
+    if damage == "truncated":
+        index.write_bytes(text[: len(text) // 2])
+    elif damage == "garbage":
+        index.write_bytes(b"\xff\xfe not an index \x00\n" + text)
+    elif damage == "directory":
+        index.mkdir()
+    else:
+        index.write_bytes(b"")
+    full_reads.clear()
+    assert read_log_csv(log_path, context="book") == want
+    assert full_reads == [log_path]
+
+
+def test_ingest_index_path_is_a_directory(tmp_path, capsys):
+    src, out = tmp_path / "export.csv", tmp_path / "log.csv"
+    src.write_text("tid,seller,cat,fb,price,sold\nt1,s1,book,positive,1.0,2\n")
+    core.index_path(out).mkdir()
+    code = main(["ingest", "--in", str(src), "--out", str(out), "--map", _INDEX_MAP])
+    assert code == 2
+    err = _assert_one_line_error(capsys)
+    assert "log.csv.index" in err and "is a directory" in err
+    assert not out.exists()
+
+
+def test_ingest_writes_utf8_under_an_ascii_locale(tmp_path):
+    src, out = tmp_path / "export.csv", tmp_path / "log.csv"
+    src.write_text(
+        "tid,seller,cat,fb,price,sold\nt1,s1,café,positive,1.0,2\nt2,s2,café,negative,3.0,4\n",
+        encoding="utf-8",
+    )
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("LC_", "LANG", "PYTHONIO"))}
+    env.update(LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=str(Path(trustlens.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "trustlens", "ingest", "--in", str(src), "--out", str(out), "--map", _INDEX_MAP],
+        env=env, capture_output=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == b""
+    assert "café" in out.read_text(encoding="utf-8")
+    assert [t.id for t in read_log_csv(out, context="café").entries] == ["t1", "t2"]
+    copy = tmp_path / "copy.csv"
+    script = f"from trustlens import core; core.write_log_csv(core.read_log_csv({str(out)!r}), {str(copy)!r})"
+    assert subprocess.run([sys.executable, "-c", script], env=env, timeout=120).returncode == 0
+    assert copy.read_bytes() == out.read_bytes()
+    code = main(["assess", "--log", str(out), "--candidate", "1.0,2.0", "--context", "café"])
+    assert code == 3  # one entry per class: too little history, but the context was read

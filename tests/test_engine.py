@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trustlens.core import Outcome, Prediction, Transaction, TransactionLog
+from trustlens.dtree import entropy
 from trustlens.engine import SOURCE_LOCAL, SOURCE_OVERLAY, assess, record_outcome
 from trustlens.errors import (
     DimensionMismatch,
@@ -106,6 +107,16 @@ def test_degenerate_classes_yield_risk_averse_lda_prediction():
     assessment = assess(log, candidate([1.0, 1.0]))
     by_algorithm = {p.algorithm: p for p in assessment.predictions}
     assert by_algorithm["LDA"].label is U
+    assert by_algorithm["LDA"].confidence == 0.0
+
+
+def test_single_leaf_tree_is_as_confident_as_its_leaf_is_pure():
+    # identical features give no cut, so the tree is one mixed leaf of 5 and 4
+    log = make_log([[1.0, 2.0]] * 5, [[1.0, 2.0]] * 4)
+    by_algorithm = {p.algorithm: p for p in assess(log, candidate([1.0, 2.0])).predictions}
+    assert by_algorithm["DT"].label is S
+    assert by_algorithm["DT"].confidence == 1.0 - entropy((5, 4))
+    assert 0.0 < by_algorithm["DT"].confidence < 0.01
     assert by_algorithm["LDA"].confidence == 0.0
 
 

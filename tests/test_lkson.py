@@ -13,7 +13,6 @@ from trustlens.core import Outcome
 from trustlens.errors import CancelledDirection, DimensionMismatch, EmptyTupleSet
 from trustlens.lda import LdaModel, classify, confidence_lda, train
 from trustlens.lkson import (
-    ContextIndex,
     KnowledgeTuple,
     OverlayGraph,
     TrustEdge,
@@ -237,33 +236,23 @@ def test_post_transaction_update_rejects_bad_candidates(outcome, p, error):
         assert edge.successes + edge.failures == 0
 
 
-def test_bootstrap_prefers_familiar_and_sizes():
+def test_bootstrap_sizes_and_registers():
     rng = np.random.default_rng(12)
-    population = {f"a{i}": ("book",) for i in range(80)}
-    population.update({f"b{i}": ("camera",) for i in range(40)})
-    listing = bootstrap_providers("a0", ContextIndex(population), 60, rng, context="book")
-    assert len(listing) == 60
+    population = tuple(f"a{i}" for i in range(120))
+    listing = bootstrap_providers(0, population, 60, rng)
+    assert len(listing) == 60 and "a0" not in listing
+    assert sorted(listing, key=population.index) == list(listing)  # population order
     graph = OverlayGraph()
     graph.register_providers("a0", listing)
     assert graph.provider_list("a0") == listing
     assert all(graph.trust("a0", p) == 0.5 for p in listing)
 
-    # all candidates share the context: everyone drawn from the familiar pool
-    small = {f"a{i}": ("book",) for i in range(10)}
-    listing2 = bootstrap_providers("a0", ContextIndex(small), 5, rng, context="book")
-    assert len(listing2) == 5
-    assert all(p.startswith("a") for p in listing2)
-
-    # fewer familiar agents than requested: the rest fills from the others
-    mixed = {f"a{i}": ("book",) for i in range(3)}
-    mixed.update({f"b{i}": ("camera",) for i in range(20)})
-    listing3 = bootstrap_providers("a0", ContextIndex(mixed), 10, rng, context="book")
-    assert set(p for p in listing3 if p.startswith("a")) == {"a1", "a2"}
-    assert len(listing3) == 10
+    # fewer other agents than requested: all of them
+    assert bootstrap_providers(3, population[:10], 60, rng) == population[:3] + population[4:10]
 
 
 def _bootstrap_three_scans(agent, population, k, rng, context=None):
-    """Reference: candidates, familiar and unfamiliar agents in three scans."""
+    """Reference: the earlier familiar-first draw, in three scans."""
     candidates = [a for a in population if a != agent]
     size = min(k, len(candidates))
     if size <= 0:
@@ -285,17 +274,17 @@ def _bootstrap_three_scans(agent, population, k, rng, context=None):
 
 
 @given(
-    holdings=st.lists(st.sets(st.sampled_from("xyz"), max_size=3), min_size=1, max_size=25),
+    n=st.integers(1, 25),
     agent=st.integers(0, 30),
     k=st.integers(-1, 40),
-    context=st.sampled_from([None, "x", "y", "w"]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_bootstrap_matches_three_scan_reference(holdings, agent, k, context, seed):
-    population = {f"a{i}": tuple(sorted(held)) for i, held in enumerate(holdings)}
+def test_bootstrap_matches_three_scan_reference(n, agent, k, seed):
+    # every agent holds the one context, as in the simulator
+    population = {f"a{i}": ("x",) for i in range(n)}
     rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = bootstrap_providers(f"a{agent}", ContextIndex(population), k, rng_new, context=context)
-    want = _bootstrap_three_scans(f"a{agent}", population, k, rng_old, context=context)
+    got = bootstrap_providers(agent, tuple(population), k, rng_new)
+    want = _bootstrap_three_scans(f"a{agent}", population, k, rng_old, context="x")
     assert got == want
     # the same draws were made, so both streams continue alike
     assert rng_new.bit_generator.state == rng_old.bit_generator.state
@@ -307,11 +296,12 @@ def test_simulator_provider_lists_match_three_scan_reference(monkeypatch):
     population = {f"a{i}": (sim.SIM_CONTEXT,) for i in range(config.n_agents)}
     real_bootstrap, listed = lkson.bootstrap_providers, []
 
-    def checked_bootstrap(agent, index, k, rng, context=None):
+    def checked_bootstrap(agent, agents, k, rng):
+        assert agents == tuple(population)
         twin = np.random.Generator(np.random.PCG64())
         twin.bit_generator.state = rng.bit_generator.state
-        want = _bootstrap_three_scans(agent, population, k, twin, context=context)
-        got = real_bootstrap(agent, index, k, rng, context=context)
+        want = _bootstrap_three_scans(agents[agent], population, k, twin, context=sim.SIM_CONTEXT)
+        got = real_bootstrap(agent, agents, k, rng)
         assert got == want and len(got) == config.provider_list_size
         assert rng.bit_generator.state == twin.bit_generator.state
         listed.append(agent)
@@ -324,7 +314,7 @@ def test_simulator_provider_lists_match_three_scan_reference(monkeypatch):
 
 def test_bootstrap_population_of_one():
     rng = np.random.default_rng(0)
-    listing = bootstrap_providers("solo", ContextIndex({"solo": ("c",)}), 60, rng, context="c")
+    listing = bootstrap_providers(0, ("solo",), 60, rng)
     assert listing == ()
 
 
@@ -337,9 +327,7 @@ def test_overlay_graph_end_to_end():
 
     graph = OverlayGraph(supplier=supplier)
     rng = np.random.default_rng(2)
-    listing = bootstrap_providers(
-        "me", ContextIndex({p: ("c",) for p in list(providers) + ["me"]}), 4, rng, context="c"
-    )
+    listing = bootstrap_providers(len(providers), (*providers, "me"), 4, rng)
     graph.register_providers("me", listing)
 
     prediction, tuples_used = graph.combined_assessment("me", "c", [0.0, 0.0])
