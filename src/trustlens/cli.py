@@ -13,10 +13,9 @@ import math
 import os
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 from . import engine, lda, sim
-from .core import Transaction, index_path, read_log_csv, write_indexed_log
+from .core import Transaction, index_path, log_writer, read_log_csv, write_indexed_log
 from .errors import ConfigError, InsufficientKnowledge, TrustlensError
 
 EXIT_OK = 0
@@ -72,6 +71,14 @@ def _default_seed() -> int:
         return int(raw)
     except ValueError:
         raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
+
+
+def _utf8_argument(value: str, flag: str) -> str:
+    """``value`` as UTF-8, if it holds the surrogate escapes of bytes the locale could not decode."""
+    try:
+        return os.fsencode(value).decode("utf-8") if any("\udc80" <= c <= "\udcff" for c in value) else value
+    except UnicodeDecodeError:
+        raise ConfigError(f"{flag} is not UTF-8 text: {value!r}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -185,9 +192,11 @@ def cmd_assess(args: argparse.Namespace) -> int:
         raise ConfigError("candidate features must be finite")
     if args.min_class < 1:
         raise ConfigError("--min-class must be >= 1")
-    log = read_log_csv(args.log, context=args.context)
+    context = _utf8_argument(args.context, "--context")
+    counterparty = _utf8_argument(args.counterparty, "--counterparty")
+    log = read_log_csv(args.log, context=context)
 
-    candidate = Transaction("candidate", args.counterparty, args.context, features, None)
+    candidate = Transaction("candidate", counterparty, context, features, None)
     try:
         assessment = engine.assess(log, candidate, min_class_count=args.min_class)
     except InsufficientKnowledge as exc:
@@ -238,7 +247,7 @@ _NEGATIVE_OUTCOMES = {"0", "false", "negative", "neg", "failure", "unsuccessful"
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    mapping = _parse_mapping(args.mapping)
+    mapping = _parse_mapping(_utf8_argument(args.mapping, "--map"))
     feature_columns: list[str] = mapping["features"]
     in_path = Path(args.input)
     _check_output_path(args.out)
@@ -260,17 +269,15 @@ def cmd_ingest(args: argparse.Namespace) -> int:
                 )
             i_id, i_counterparty, i_context, i_outcome, *feature_indices = (index[c] for c in columns)
 
-            rows: list[str] = []  # the log's records as CSV lines, each checked
-            writer = csv.writer(SimpleNamespace(write=rows.append), lineterminator="\n")  # a write per row
+            lines: list[str] = []  # the log's header, then its records, each checked
+            writerow = log_writer(lines, len(feature_columns))
             dropped = 0
-            outcome_counts = {"successful": 0, "unsuccessful": 0}
-            contexts: dict[str, list[int]] = {}  # context -> its row numbers
+            n_successful = 0
+            contexts: dict[str, list[int]] = {}  # context -> its records' positions in lines
             seen_ids: set[str] = set()
-            total = 0
             for row in reader:
                 if not row:
                     continue
-                total += 1
                 if len(row) < len(header):  # a short row's missing cells read as empty
                     row += [""] * (len(header) - len(row))
                 outcome_text = row[i_outcome].strip().lower()
@@ -303,25 +310,23 @@ def cmd_ingest(args: argparse.Namespace) -> int:
                 seen_ids.add(tid)
                 context = row[i_context].strip()
                 counterparty = row[i_counterparty].strip()
-                key = "successful" if outcome == "1" else "unsuccessful"
-                outcome_counts[key] += 1
-                contexts.setdefault(context, []).append(len(rows))
-                writer.writerow([tid, counterparty, context, outcome] + features)
+                n_successful += outcome == "1"
+                contexts.setdefault(context, []).append(len(lines))
+                writerow([tid, counterparty, context, outcome] + features)
     except csv.Error as exc:  # e.g. an oversized field
         raise ConfigError(f"{in_path} line {reader.line_num}: unreadable CSV: {exc}") from None
 
-    write_indexed_log(args.out, len(feature_columns), rows, contexts)
+    write_indexed_log(args.out, lines, contexts)
 
-    kept = len(rows)
-    print(f"rows read:    {total}")
+    kept = len(lines) - 1
+    print(f"rows read:    {kept + dropped}")
     print(f"rows kept:    {kept}")
     print(f"rows dropped: {dropped} (unparseable outcome, non-finite/missing features, or bad id)")
     if kept:
-        pct_s = 100.0 * outcome_counts["successful"] / kept
-        pct_u = 100.0 * outcome_counts["unsuccessful"] / kept
+        n_unsuccessful = kept - n_successful
         print(
-            f"outcomes: successful {outcome_counts['successful']} ({pct_s:.1f}%), "
-            f"unsuccessful {outcome_counts['unsuccessful']} ({pct_u:.1f}%)"
+            f"outcomes: successful {n_successful} ({100.0 * n_successful / kept:.1f}%), "
+            f"unsuccessful {n_unsuccessful} ({100.0 * n_unsuccessful / kept:.1f}%)"
         )
         summary = ", ".join(f"{k}={len(v)}" for k, v in sorted(contexts.items()))
         print(f"contexts: {summary}")

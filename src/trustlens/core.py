@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from types import SimpleNamespace
+from typing import Any, Callable
 
 from .errors import DimensionMismatch, DuplicateId, LogFormatError, TrustlensError
 
@@ -152,17 +153,6 @@ class Prediction:
             raise ValueError(f"confidence {self.confidence} outside [0, 1]")
 
 
-def derived_each(
-    logs: Iterable[TransactionLog], key: object, compute: Callable[[TransactionLog], Any]
-) -> list:
-    """``[log.derived(key, compute) for log in logs]``, without a method call per kept value."""
-    values = []
-    for log in logs:
-        found = log._derived.get(key, _MISSING)
-        values.append(log.derived(key, compute) if found is _MISSING else found)
-    return values
-
-
 def filter_by_context(log: TransactionLog, context: str) -> TransactionLog:
     """Sub-log of entries whose context tag matches exactly.
 
@@ -174,7 +164,7 @@ def filter_by_context(log: TransactionLog, context: str) -> TransactionLog:
 
 # CSV log format: header `id,counterparty,context,outcome,f1,...,fd`,
 # outcome in {1,0} (1 = successful), d inferred from the feature columns.
-# `ingest` writes a row index beside it (see `write_indexed_log`).
+# Written only by `log_writer` and `write_indexed_log`, with a row index.
 
 _FIXED_COLUMNS = ("id", "counterparty", "context", "outcome")
 _OUTCOMES = {"1": Outcome.SUCCESSFUL, "0": Outcome.UNSUCCESSFUL}
@@ -289,18 +279,24 @@ def _index_key(context: str) -> str:
     return '"' + context.replace('"', '""') + '"'
 
 
-def write_indexed_log(path: str | Path, d: int, rows: list[str], contexts: dict[str, list[int]]) -> None:
-    """Write a log of ``d`` features whose records are the checked CSV lines
-    ``rows``, and its row index, ``index_path(path)``: a line of
-    ``_INDEX_MAGIC`` and the hex SHA-256 of the log's bytes and then of the
-    body, and a body of one CSV row per context of ``contexts`` (which maps it
-    to its row numbers): the context, always quoted, then its rows' byte
-    offsets in the log, in file order."""
-    head = ",".join(_FIXED_COLUMNS + tuple(f"f{i}" for i in range(1, d + 1))) + "\n"
-    text = "".join([head, *rows])
+def log_writer(lines: list[str], d: int) -> Callable[[list[str]], Any]:
+    """``writerow`` of a csv writer that appends a record of the log format to
+    ``lines`` as one line ended by CRLF (RFC 4180), so a field holding a comma,
+    quote, CR or LF is quoted; ``lines[0]`` is the header of ``d`` features."""
+    writerow = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n").writerow
+    writerow(_FIXED_COLUMNS + tuple(f"f{i}" for i in range(1, d + 1)))
+    return writerow
+
+
+def write_indexed_log(path: str | Path, lines: list[str], contexts: dict[str, list[int]]) -> None:
+    """Write the log of a ``log_writer``'s ``lines`` and its row index: a line of
+    ``_INDEX_MAGIC`` and the hex SHA-256 of the log's bytes and then of the body,
+    then one CSV row per context of ``contexts`` (context -> its records'
+    positions in ``lines``): the context, quoted, then its rows' byte offsets."""
+    text = "".join(lines)
     data = text.encode("utf-8")
-    sizes = map(len, rows) if len(data) == len(text) else map(len, map(str.encode, rows))  # ASCII: a byte a char
-    starts = list(accumulate(sizes, initial=len(head)))
+    sizes = map(len, lines) if len(data) == len(text) else map(len, map(str.encode, lines))  # ASCII: a byte a char
+    starts = list(accumulate(sizes, initial=0))
     body = "".join(
         f"{_index_key(c)},{','.join(map(str, map(starts.__getitem__, numbers)))}\n"
         for c, numbers in contexts.items()
@@ -329,10 +325,11 @@ def _check_header(header: list[str]) -> int:
 
 
 def write_log_csv(log: TransactionLog, path: str | Path) -> None:
-    """Write a log in the CSV format read back by :func:`read_log_csv`."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(_FIXED_COLUMNS) + [f"f{i}" for i in range(1, log.dimensionality + 1)])
-        for t in log.entries:
-            outcome = "1" if t.outcome is Outcome.SUCCESSFUL else "0"
-            writer.writerow([t.id, t.counterparty, t.context, outcome] + [repr(x) for x in t.features])
+    """Write a log, and its row index, in the format read back by :func:`read_log_csv`."""
+    lines: list[str] = []
+    contexts: dict[str, list[int]] = {}  # context -> its records' positions in lines
+    writerow = log_writer(lines, log.dimensionality)
+    for t in log.entries:
+        contexts.setdefault(t.context, []).append(len(lines))
+        writerow([t.id, t.counterparty, t.context, str(t.outcome.value), *map(repr, t.features)])
+    write_indexed_log(path, lines, contexts)

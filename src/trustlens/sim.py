@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import baselines, engine, lda, lkson
-from .core import Outcome, Prediction, Transaction, TransactionLog, derived_each
+from .core import Outcome, Prediction, Transaction, TransactionLog
 from .core import filter_by_context  # noqa: F401  (not called; perfbench's tracer test patches it)
 from .errors import ConfigError, DegenerateClasses, EmptySet, InsufficientKnowledge
 
@@ -191,11 +191,8 @@ class _SimState:
         # cannot train) is made once per log state and shares its LDA model
         # with the owner's local assessment
         mcc, ready, log_of = self.config.min_class_count, self.ready, self._log_of
-        found = derived_each(
-            [log_of[p] for p in providers if p in ready],
-            ("tuple", context, mcc),
-            lambda log: _knowledge(log, context, mcc),
-        )
+        key, compute = ("tuple", context, mcc), lambda log: _knowledge(log, context, mcc)
+        found = [log_of[p].derived(key, compute) for p in providers if p in ready]
         return [k for k in found if k is not None]
 
     def record(self, trustor: int, provider: int, tid: str, features: np.ndarray,

@@ -517,10 +517,10 @@ def test_ingest_equals_dictreader_reference(tmp_path_factory, header, rows):
     with contextlib.redirect_stdout(stdout):
         assert main(["ingest", "--in", str(src), "--out", str(out), "--map", _INGEST_MAP]) == 0
     expected = io.StringIO()
-    csv.writer(expected, lineterminator="\n").writerows(
+    csv.writer(expected, lineterminator="\r\n").writerows(
         [["id", "counterparty", "context", "outcome", "f1", "f2"]] + kept
     )
-    assert out.read_text() == expected.getvalue()
+    assert out.read_bytes() == expected.getvalue().encode("utf-8")
     lines = stdout.getvalue().splitlines()
     assert lines[:3] == [
         f"rows read:    {total}",
@@ -538,7 +538,7 @@ def _ingest(tmp_path, rows):
     """Ingest export ``rows`` of (tid, seller, cat, fb, price, sold); the log's path."""
     src, out = tmp_path / "export.csv", tmp_path / "log.csv"
     with src.open("w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh, lineterminator="\n").writerows([_INGEST_NAMES] + rows)
+        csv.writer(fh, lineterminator="\r\n").writerows([_INGEST_NAMES] + rows)
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["ingest", "--in", str(src), "--out", str(out), "--map", _INDEX_MAP]) == 0
     return out
@@ -565,8 +565,7 @@ def full_reads(monkeypatch):
     return paths
 
 
-# no bare "\r": csv.writer with lineterminator "\n" leaves it unquoted, so no read gets it back
-_AWKWARD = st.text(st.sampled_from(["a", "b", ",", '"', "\n", " ", "é", "日", "\U0001f600"]), max_size=5)
+_AWKWARD = st.text(st.sampled_from(["a", "b", ",", '"', "\n", "\r", " ", "é", "日", "\U0001f600"]), max_size=5)
 
 
 @settings(max_examples=60, deadline=None)
@@ -580,6 +579,10 @@ def test_indexed_read_equals_full_read(tmp_path_factory, records):
     with mock.patch.object(core, "_read_full", wraps=core._read_full) as full_read:
         indexed = {c: read_log_csv(log_path, context=c) for c in contexts}
     assert full_read.call_count == 0  # every context was found through the index
+    copy = log_path.with_name("copy.csv")  # the library writer encodes the same log the same way
+    write_log_csv(read_log_csv(log_path), copy)
+    assert copy.read_bytes() == log_path.read_bytes()
+    assert core.index_path(copy).read_bytes() == core.index_path(log_path).read_bytes()
     core.index_path(log_path).unlink()
     for c in contexts:
         assert indexed[c] == read_log_csv(log_path, context=c)
@@ -601,8 +604,10 @@ def test_one_changed_byte_forces_the_full_read(tmp_path, full_reads, target):
     log_path = _ingest(tmp_path, _export_rows(["book", "camera"]))
     path = log_path if target == "log" else core.index_path(log_path)
     data = bytearray(path.read_bytes())
-    assert data[-2:-1].isdigit()  # the log's last feature, or the index's last offset
-    data[-2] = ord("7") if data[-2] != ord("7") else ord("8")
+    end = b"\r\n" if target == "log" else b"\n"  # log records end in CRLF, index lines in LF
+    at = -1 - len(end)  # the log's last feature digit, or the index's last offset digit
+    assert data.endswith(end) and data[at : at + 1].isdigit()
+    data[at] = ord("7") if data[at] != ord("7") else ord("8")
     path.write_bytes(bytes(data))
     log = read_log_csv(log_path, context="book")
     assert full_reads == [log_path]
@@ -650,19 +655,27 @@ def test_ingest_index_path_is_a_directory(tmp_path, capsys):
     assert not out.exists()
 
 
+def _ascii_locale_env():
+    """The environment of a process whose locale is ASCII, so it decodes
+    argv with surrogate escapes."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("LC_", "LANG", "PYTHONIO"))}
+    env.update(LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=str(Path(trustlens.__file__).parents[1]))
+    return env
+
+
+def _trustlens(args, env, cwd=None):
+    return subprocess.run([sys.executable, "-m", "trustlens", *args], env=env, cwd=cwd, capture_output=True, timeout=120)
+
+
 def test_ingest_writes_utf8_under_an_ascii_locale(tmp_path):
     src, out = tmp_path / "export.csv", tmp_path / "log.csv"
     src.write_text(
         "tid,seller,cat,fb,price,sold\nt1,s1,café,positive,1.0,2\nt2,s2,café,negative,3.0,4\n",
         encoding="utf-8",
     )
-    env = {k: v for k, v in os.environ.items() if not k.startswith(("LC_", "LANG", "PYTHONIO"))}
-    env.update(LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
-               PYTHONPATH=str(Path(trustlens.__file__).parents[1]))
-    done = subprocess.run(
-        [sys.executable, "-m", "trustlens", "ingest", "--in", str(src), "--out", str(out), "--map", _INDEX_MAP],
-        env=env, capture_output=True, timeout=120,
-    )
+    env = _ascii_locale_env()
+    done = _trustlens(["ingest", "--in", str(src), "--out", str(out), "--map", _INDEX_MAP], env)
     assert done.returncode == 0, done.stderr
     assert done.stderr == b""
     assert "café" in out.read_text(encoding="utf-8")
@@ -671,5 +684,42 @@ def test_ingest_writes_utf8_under_an_ascii_locale(tmp_path):
     script = f"from trustlens import core; core.write_log_csv(core.read_log_csv({str(out)!r}), {str(copy)!r})"
     assert subprocess.run([sys.executable, "-c", script], env=env, timeout=120).returncode == 0
     assert copy.read_bytes() == out.read_bytes()
+    assert core.index_path(copy).read_bytes() == core.index_path(out).read_bytes()
     code = main(["assess", "--log", str(out), "--candidate", "1.0,2.0", "--context", "café"])
     assert code == 3  # one entry per class: too little history, but the context was read
+
+
+def test_assess_text_flags_under_an_ascii_locale(tmp_path):
+    log_path = _ingest(tmp_path, _export_rows(["café", "café", "book"]))
+    args = ["assess", "--log", str(log_path), "--candidate", "3.5,1",
+            "--context", "café".encode(), "--counterparty", "ß".encode()]
+    utf8 = _trustlens(args, dict(_ascii_locale_env(), PYTHONUTF8="1"))
+    ascii = _trustlens(args, _ascii_locale_env())
+    assert utf8.returncode == 0, utf8.stderr
+    assert (ascii.returncode, ascii.stdout, ascii.stderr) == (0, utf8.stdout, b"")
+
+
+def test_ingest_map_under_an_ascii_locale(tmp_path):
+    src, out = tmp_path / "export.csv", tmp_path / "log.csv"
+    src.write_text("tid,seller,catégorie,fb,price,sold\nt1,s1,book,positive,1.0,2\n", encoding="utf-8")
+    mapping = _INDEX_MAP.replace("context=cat", "context=catégorie")
+    done = _trustlens(["ingest", "--in", str(src), "--out", str(out), "--map", mapping.encode()],
+                      _ascii_locale_env())
+    assert done.returncode == 0, done.stderr
+    assert [t.context for t in read_log_csv(out).entries] == ["book"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["assess", "--log", "log.csv", "--candidate", "1", "--context", b"caf\xe9"],
+        ["assess", "--log", "log.csv", "--candidate", "1", "--context", "c", "--counterparty", b"caf\xe9"],
+        ["ingest", "--in", "in.csv", "--out", "out.csv", "--map", b"id=t\xe9"],
+    ],
+    ids=["context", "counterparty", "map"],
+)
+def test_text_flag_that_is_not_utf8_is_one_line_error(tmp_path, args):
+    flag = args[-2]
+    done = _trustlens(args, _ascii_locale_env(), cwd=tmp_path)
+    assert done.returncode == 2 and done.stdout == b""
+    assert done.stderr.startswith(f"error: {flag} is not UTF-8 text".encode()) and done.stderr.count(b"\n") == 1

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -15,12 +16,11 @@ from trustlens.core import (
     Prediction,
     Transaction,
     TransactionLog,
-    derived_each,
     filter_by_context,
     read_log_csv,
     write_log_csv,
 )
-from trustlens import dtree, lda
+from trustlens import core, dtree, lda
 from trustlens.errors import (
     DegenerateClasses,
     DimensionMismatch,
@@ -90,29 +90,6 @@ def test_derived_keeps_trustlens_errors_only():
         with pytest.raises(ValueError):
             log.derived("v", broken)
     assert calls == ["degenerate", "broken", "broken"]
-
-
-def test_derived_each_reads_kept_values_and_computes_the_rest():
-    logs = [make_log([(float(i),)], [(9.0,)], owner=f"o{i}") for i in range(3)]
-    computed = []
-
-    def compute(log):
-        computed.append(log.owner)
-        return (log.owner, len(log))
-
-    kept = logs[1].derived("k", compute)
-    assert derived_each(logs, "k", compute) == [("o0", 2), ("o1", 2), ("o2", 2)]
-    assert derived_each(logs, "k", compute)[1] is kept
-    assert computed == ["o1", "o0", "o2"]
-
-    def degenerate(log):
-        raise DegenerateClasses("kept")
-
-    with pytest.raises(DegenerateClasses):
-        logs[0].derived("bad", degenerate)
-    with pytest.raises(DegenerateClasses, match="kept"):
-        derived_each(logs, "bad", compute)  # the kept error, not a new computation
-    assert computed == ["o1", "o0", "o2"]
 
 
 def test_context_view_is_kept_and_grown_by_append():
@@ -266,6 +243,27 @@ def test_csv_round_trip(tmp_path):
     ]
 
 
+_AWKWARD_TEXT = ["a\rb", "\r", "c\r\nd", "\r\n", 'say "hi"', "cd, used", "e\nf", "café 日\U0001f600"]
+
+
+def test_csv_round_trip_of_awkward_text_through_both_reads(tmp_path):
+    log = TransactionLog("me", 2)
+    for i, text in enumerate(_AWKWARD_TEXT):
+        outcome = Outcome.SUCCESSFUL if i % 2 else Outcome.UNSUCCESSFUL
+        log.append(Transaction(f"{text}{i}", text, text, (i / 3, -1e300), outcome))
+    path = tmp_path / "log.csv"
+    write_log_csv(log, path)
+    assert path.read_bytes().endswith(b"\r\n") and core.index_path(path).is_file()
+    with mock.patch.object(core, "_read_full", wraps=core._read_full) as full_read:
+        indexed = {c: read_log_csv(path, owner="me", context=c) for c in _AWKWARD_TEXT}
+    assert full_read.call_count == 0  # every context was read through the index
+    assert _fields(read_log_csv(path, owner="me")) == _fields(log)
+    core.index_path(path).unlink()
+    for c in _AWKWARD_TEXT:
+        assert _fields(indexed[c]) == _fields(filter_by_context(log, c)) != []
+        assert _fields(read_log_csv(path, owner="me", context=c)) == _fields(indexed[c])
+
+
 def test_csv_read_accepts_byte_order_mark(tmp_path):
     log = TransactionLog("me", 2)
     log.append(Transaction("t1", "alice", "book", (1.25, -3.5), Outcome.SUCCESSFUL))
@@ -308,7 +306,7 @@ def _fields(log):
     return [(t.id, t.counterparty, t.context, t.features, t.outcome) for t in log.entries]
 
 
-_CONTEXTS = ["book", "cd, used", 'say "hi"', "camera"]
+_CONTEXTS = ["book", "cd, used", 'say "hi"', "camera", "a\rb"]
 
 
 @settings(max_examples=60, deadline=None)
