@@ -81,65 +81,80 @@ def _utf8_argument(value: str, flag: str) -> str:
         raise ConfigError(f"{flag} is not UTF-8 text: {value!r}") from None
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="trustlens",
-        description="Transaction trust assessment and synthetic experiments.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_sim = sub.add_parser(
-        "simulate",
-        help="sweep the separability/malicious-fraction grid and write a results CSV",
-        description=(
-            "Value flags accept comma lists (0.2,0.4) or start:stop:step ranges "
-            "(0.1:0.9:0.1, inclusive)."
+# command -> (help, description, its arguments as (flag, add_argument keywords))
+_COMMANDS = {
+    "simulate": (
+        "sweep the separability/malicious-fraction grid and write a results CSV",
+        "Value flags accept comma lists (0.2,0.4) or start:stop:step ranges (0.1:0.9:0.1, inclusive).",
+        (
+            ("--theta", dict(default="0.2,0.4,0.6,0.8", help="separability values")),
+            ("--pm", dict(default="0.1:0.9:0.1", help="malicious-fraction values")),
+            ("--models", dict(default=",".join(sim.DEFAULT_MODELS), help=f"comma list from {', '.join(sim.MODELS)}")),
+            ("--seed", dict(type=int, help=f"base seed (falls back to ${SEED_ENV_VAR}, then 0)")),
+            ("--out", dict(required=True, help="results CSV path")),
+            ("--agents", dict(type=int, default=200, help="population size per run")),
+            ("--transactions", dict(type=int, default=1000, help="evaluated rounds per run")),
+            ("--repeats", dict(type=int, default=10, help="seeded repeats per cell")),
+            ("--warmup", dict(type=int, default=10, help="logged transactions per agent before evaluation")),
+            ("--providers", dict(type=int, default=60, help="knowledge-provider list size")),
+            ("--fanout", dict(type=int, help="providers queried per request (default: all)")),
+            ("--quiet", dict(action="store_true", help="skip the summary table")),
         ),
-    )
-    p_sim.add_argument("--theta", default="0.2,0.4,0.6,0.8", help="separability values")
-    p_sim.add_argument("--pm", default="0.1:0.9:0.1", help="malicious-fraction values")
-    p_sim.add_argument(
-        "--models",
-        default=",".join(sim.DEFAULT_MODELS),
-        help=f"comma list from {', '.join(sim.MODELS)}",
-    )
-    p_sim.add_argument("--seed", type=int, default=None, help=f"base seed (falls back to ${SEED_ENV_VAR}, then 0)")
-    p_sim.add_argument("--out", required=True, help="results CSV path")
-    p_sim.add_argument("--agents", type=int, default=200, help="population size per run")
-    p_sim.add_argument("--transactions", type=int, default=1000, help="evaluated rounds per run")
-    p_sim.add_argument("--repeats", type=int, default=10, help="seeded repeats per cell")
-    p_sim.add_argument("--warmup", type=int, default=10, help="logged transactions per agent before evaluation")
-    p_sim.add_argument("--providers", type=int, default=60, help="knowledge-provider list size")
-    p_sim.add_argument("--fanout", type=int, default=None, help="providers queried per request (default: all)")
-    p_sim.add_argument("--quiet", action="store_true", help="skip the summary table")
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_assess = sub.add_parser("assess", help="assess one candidate transaction against a CSV log")
-    p_assess.add_argument("--log", required=True, help="transaction log CSV")
-    p_assess.add_argument("--candidate", required=True, help="comma list of candidate feature values")
-    p_assess.add_argument("--context", required=True, help="candidate context tag")
-    p_assess.add_argument("--counterparty", default="unknown", help="candidate counterparty id")
-    p_assess.add_argument(
-        "--min-class", type=int, default=lda.DEFAULT_MIN_CLASS_COUNT, help="per-class history threshold"
-    )
-    p_assess.set_defaults(func=cmd_assess)
-
-    p_ingest = sub.add_parser(
-        "ingest",
-        help="normalize an auction-style CSV into the transaction-log format",
-        description=(
-            "--map is a comma list of source-column assignments, e.g. "
-            "id=tid,counterparty=seller,context=category,outcome=feedback,"
-            "features=price,features=sold. Repeat features= once per feature "
-            "column, in order."
+    ),
+    "assess": (
+        "assess one candidate transaction against a CSV log",
+        None,
+        (
+            ("--log", dict(required=True, help="transaction log CSV")),
+            ("--candidate", dict(required=True, help="comma list of candidate feature values")),
+            ("--context", dict(required=True, help="candidate context tag")),
+            ("--counterparty", dict(default="unknown", help="candidate counterparty id")),
+            ("--min-class", dict(type=int, default=lda.DEFAULT_MIN_CLASS_COUNT, help="per-class history threshold")),
         ),
-    )
-    p_ingest.add_argument("--in", dest="input", required=True, help="source CSV")
-    p_ingest.add_argument("--out", required=True, help="normalized log CSV")
-    p_ingest.add_argument("--map", dest="mapping", required=True, help="column mapping")
-    p_ingest.set_defaults(func=cmd_ingest)
+    ),
+    "ingest": (
+        "normalize an auction-style CSV into the transaction-log format",
+        "--map is a comma list of source-column assignments, e.g. "
+        "id=tid,counterparty=seller,context=category,outcome=feedback,"
+        "features=price,features=sold. Repeat features= once per feature column, in order.",
+        (
+            ("--in", dict(dest="input", required=True, help="source CSV")),
+            ("--out", dict(required=True, help="normalized log CSV")),
+            ("--map", dict(dest="mapping", required=True, help="column mapping")),
+        ),
+    ),
+}
 
+
+def _add_command(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """``parser`` with command ``name``'s arguments; its ``cmd_*`` is looked up now, so a wrapper put there runs."""
+    for flag, keywords in _COMMANDS[name][2]:
+        parser.add_argument(flag, **keywords)
+    parser.set_defaults(command=name, func=globals()[f"cmd_{name}"])
     return parser
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The whole tree: every command as a subparser."""
+    description = "Transaction trust assessment and synthetic experiments."
+    parser = argparse.ArgumentParser(prog="trustlens", description=description)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, description, _) in _COMMANDS.items():
+        _add_command(sub.add_parser(name, help=help_text, description=description), name)
+    return parser
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """What ``_build_parser().parse_args(argv)`` gives, building only the
+    parser of the command ``argv`` names, when it names one."""
+    if not argv or argv[0] not in _COMMANDS:
+        return _build_parser().parse_args(argv)
+    name = argv[0]
+    parser = argparse.ArgumentParser(prog=f"trustlens {name}", description=_COMMANDS[name][1])
+    args, extras = _add_command(parser, name).parse_known_args(argv[1:])
+    if extras:  # reported by the whole tree, as its parse_args does
+        _build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def _check_output_path(path: str) -> None:
@@ -335,8 +350,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     if isinstance(sys.stdout, io.TextIOWrapper):  # a context an ASCII locale cannot print is escaped
         sys.stdout.reconfigure(errors="backslashreplace")
     try:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -240,36 +241,34 @@ def _check_row(row: list[str], d: int, line: int) -> tuple[Outcome, list[float]]
 
 
 def _read_indexed(path: Path, owner: str, context: str) -> TransactionLog | None:
-    """``context``'s rows, read at the offsets the row index gives, or None
-    when the index is missing, unreadable, malformed or not this log's."""
+    """``context``'s rows, parsed at the row index's offsets from the log bytes its digest
+    covered, or None when the index is missing, unreadable, malformed or not this log's."""
     try:
-        head, _, body = index_path(path).read_bytes().partition(b"\n")
-        with path.open("rb") as fh:
-            digest = hashlib.sha256()
-            for chunk in iter(lambda: fh.read(1 << 16), b""):
-                digest.update(chunk)
-            digest.update(body)
-            if head != _INDEX_MAGIC + digest.hexdigest().encode():
+        index, data = index_path(path).read_bytes(), path.read_bytes()
+        head = index.index(b"\n")  # the body follows the head's newline
+        digest = hashlib.sha256(data)
+        digest.update(memoryview(index)[head + 1 :])
+        if index[:head] != _INDEX_MAGIC + digest.hexdigest().encode():
+            return None
+        # the context's line starts after a newline outside any quoted field
+        key = b"\n" + _index_key(context).encode("utf-8") + b","
+        at = index.find(key, head)
+        while at >= 0 and index.count(b'"', head, at) % 2:
+            at = index.find(key, at + 1)
+        end = at + len(key)
+        starts = index[end : index.index(b"\n", end)].split(b",") if at >= 0 else []
+        fh = io.BytesIO(data)  # shares data's buffer
+        reader = csv.reader(line.decode("utf-8") for line in fh)  # one record per next()
+        d = _check_header(next(reader))
+        entries = []
+        for start in map(int, starts):
+            fh.seek(start)
+            row = next(reader)
+            outcome, features = _check_row(row, d, reader.line_num)
+            if row[2] != context:
                 return None
-            # the context's line starts after a newline outside any quoted field
-            text, key = "\n" + body.decode("utf-8"), "\n" + _index_key(context) + ","
-            at = text.find(key)
-            while at >= 0 and text.count('"', 0, at) % 2:
-                at = text.find(key, at + 1)
-            end = at + len(key)
-            starts = text[end : text.index("\n", end)].split(",") if at >= 0 else []
-            reader = csv.reader(line.decode("utf-8") for line in fh)  # one record per next()
-            fh.seek(0)
-            d = _check_header(next(reader))
-            entries = []
-            for start in map(int, starts):
-                fh.seek(start)
-                row = next(reader)
-                outcome, features = _check_row(row, d, reader.line_num)
-                if row[2] != context:
-                    return None
-                entries.append(Transaction(row[0], row[1], context, features, outcome))
-            return TransactionLog(owner=owner, dimensionality=d, entries=entries)
+            entries.append(Transaction(row[0], row[1], context, features, outcome))
+        return TransactionLog(owner=owner, dimensionality=d, entries=entries)
     except (OSError, ValueError, StopIteration, csv.Error, TrustlensError):
         return None
 

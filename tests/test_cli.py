@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import hashlib
 import io
 import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -160,6 +162,96 @@ def test_seed_env_fallback(tmp_path, monkeypatch):
     monkeypatch.delenv("TRUSTLENS_SEED")
     assert main(SMALL_SIM + ["--seed", "99", "--out", str(out_flag)]) == 0
     assert out_env.read_bytes() == out_flag.read_bytes()
+
+
+# --- argument parsing: one command's parser answers as the whole tree does ---
+
+_ASSESS = ["assess", "--log", "log.csv", "--candidate", "0.5,1", "--context", "book"]
+
+
+def _parsed(parse, argv):
+    """``parse(argv)``'s namespace, or its ``SystemExit`` code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return vars(parse(argv))
+    except SystemExit as exc:
+        return exc.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        SMALL_SIM + ["--out", "r.csv", "--seed", "3"],
+        _ASSESS,
+        ["ingest", "--in", "export.csv", "--out", "log.csv", "--map", "id=tid,features=price"],
+        _ASSESS + ["--min-class=2"],
+        ["assess", "--log", "log.csv", "--cand", "0.5", "--context", "book"],
+        ["simulate", "-h"],
+        ["assess", "-h"],
+        ["ingest", "-h"],
+        ["-h"],
+        [],
+        ["bogus"],
+        ["assess", "--log", "log.csv"],
+        ["assess"],
+        _ASSESS + ["--min-class", "x"],
+        _ASSESS + ["--bogus"],
+        _ASSESS + ["extra"],
+        ["--"] + _ASSESS,
+        ["assess", "--"] + _ASSESS[1:],
+    ],
+)
+def test_command_parser_answers_as_the_whole_parser(monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    want = _parsed(lambda a: cli._build_parser().parse_args(a), argv)
+    assert _parsed(cli._parse_args, argv) == want
+    if isinstance(want, tuple):
+        assert want[0] in (0, 2) and (want[1] or want[2])
+
+
+def test_valid_call_builds_one_parser(tmp_path, monkeypatch, capsys):
+    log_path = tmp_path / "log.csv"
+    write_separable_log(log_path)
+    built = []
+    real_init = cli.argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli.argparse.ArgumentParser, "__init__", counting_init)
+    cli._build_parser()
+    assert len(built) == 4  # the whole tree: the top parser and one per command
+    built.clear()
+    assert main(["assess", "--log", str(log_path), "--candidate", "0.02,0.01", "--context", "book"]) == 0
+    assert built == ["trustlens assess"]
+
+
+def test_main_calls_the_command_functions_bound_at_call_time(tmp_path, monkeypatch, capsys):
+    log_path = tmp_path / "log.csv"
+    write_separable_log(log_path)
+    export = tmp_path / "export.csv"
+    export.write_text("tid,seller,cat,fb,price,sold\nt1,s1,book,positive,1.0,2\n")
+    argvs = {
+        "assess": ["assess", "--log", str(log_path), "--candidate", "0.02,0.01", "--context", "book"],
+        "ingest": ["ingest", "--in", str(export), "--out", str(tmp_path / "out.csv"), "--map", _INDEX_MAP],
+        "simulate": ["simulate", "--theta", "2", "--out", str(tmp_path / "r.csv")],  # fails inside cmd_simulate
+    }
+    assert main(argvs["assess"]) == 0  # a parser kept from this call would hold the unwrapped functions
+    called = []
+
+    def recording(name, real):
+        def wrapper(args):
+            called.append((name, args.command))
+            return real(args)
+        return wrapper
+
+    for name in argvs:
+        monkeypatch.setattr(cli, f"cmd_{name}", recording(name, getattr(cli, f"cmd_{name}")))
+    codes = [main(argv) for argv in argvs.values()]
+    assert codes == [0, 0, 2]
+    assert called == [(name, name) for name in argvs]
 
 
 def test_assess_separable_log(tmp_path, capsys):
@@ -613,6 +705,28 @@ def test_one_changed_byte_forces_the_full_read(tmp_path, full_reads, target):
     assert full_reads == [log_path]
     core.index_path(log_path).unlink()
     assert log == read_log_csv(log_path, context="book")
+
+
+def test_indexed_rows_are_the_bytes_hashed(tmp_path, monkeypatch):
+    log_path = _ingest(tmp_path, _export_rows(["book", "camera"]))
+    want = core._read_full(log_path, "local", "camera")
+    assert [t.features[0] for t in want.entries if t.id == "t3"] == [3.5]
+
+    class RewritingSha256:
+        """sha256 whose ``hexdigest`` first rewrites the log on disk: a same-length edit."""
+
+        def __init__(self, data=b""):
+            self._digest = hashlib.sha256(data)
+
+        def update(self, data):
+            self._digest.update(data)
+
+        def hexdigest(self):
+            log_path.write_bytes(log_path.read_bytes().replace(b",3.5,", b",3.7,"))
+            return self._digest.hexdigest()
+
+    monkeypatch.setattr(core, "hashlib", SimpleNamespace(sha256=RewritingSha256))
+    assert read_log_csv(log_path, context="camera") == want
 
 
 def test_appended_bad_row_gives_the_full_read_error(tmp_path, capsys):
